@@ -208,7 +208,6 @@ def slice_rank_exact(
     budget: Optional[int] = None,
     limit: int = DEFAULT_ENUMERATION_LIMIT,
     method: str = "auto",
-    use_antichain_bound: bool = False,
 ) -> RankResult:
     """Exact slice rank by dual-subspace search, with certificate and witness.
 
@@ -221,9 +220,6 @@ def slice_rank_exact(
         method: "auto" short-circuits order-2 tensors to matrix rank;
             "dual" forces the subspace search (valid for every order);
             "matrix" demands an order-2 tensor.
-        use_antichain_bound: start the search at the minimum slice cover
-            when the support is an antichain, where cover equals rank.
-            Off by default; the plain search is self-contained.
 
     The returned certificate is the first verifying one in (rank,
     composition, subspace-enumeration) lexicographic order, and the
@@ -245,13 +241,8 @@ def slice_rank_exact(
         )
 
     trivial_max = min(t.shape)
-    start = 0
-    if use_antichain_bound:
-        info = support_and_antichain(t)
-        if info.is_antichain:
-            start = min_slice_cover(t).count
     hi = trivial_max if budget is None else min(budget, trivial_max)
-    for r in range(start, hi + 1):
+    for r in range(hi + 1):
         for comp in _compositions(r, t.shape):
             dims = [n - c for n, c in zip(t.shape, comp)]
             found = _search_composition(t.data, p, dims)

@@ -13,6 +13,7 @@ deterministic, so identical inputs serialize byte-identically.
 from __future__ import annotations
 
 import json
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,16 +24,26 @@ from .rank import DualCertificate, RankResult
 from .splitting import SplitTrace
 from .tensor import SliceDecomposition, SliceTerm, Tensor
 
+# Most cells a declared dense shape may have, and the longest axis, checked
+# before any array is allocated so that a hostile shape cannot exhaust memory.
+# The largest tensors in the tests and the benchmark have 24**3 cells.
+MAX_DENSE_CELLS = 2**24
+
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise FormatError(message)
 
 
+def _is_int(x) -> bool:
+    """True for a JSON integer; JSON true and false load as bool, a subclass of int."""
+    return type(x) is int
+
+
 def _int_field(obj: dict, key: str) -> int:
     _require(key in obj, f"missing field {key!r}")
     value = obj[key]
-    _require(isinstance(value, int) and not isinstance(value, bool), f"field {key!r} must be an integer")
+    _require(_is_int(value), f"field {key!r} must be an integer")
     return value
 
 
@@ -56,10 +67,14 @@ def _dense_from_obj(obj: dict, expect_field: Optional[PrimeField] = None):
         raise FormatError(f"prime {p} does not match the surrounding context")
     shape = obj.get("shape")
     _require(
-        isinstance(shape, list) and all(isinstance(n, int) and n >= 0 for n in shape),
+        isinstance(shape, list) and all(_is_int(n) and n >= 0 for n in shape),
         "shape must be a list of nonnegative integers",
     )
     shape = tuple(shape)
+    _require(
+        math.prod(shape) <= MAX_DENSE_CELLS and all(n <= MAX_DENSE_CELLS for n in shape),
+        f"shape {list(shape)} is over the limit of {MAX_DENSE_CELLS} cells per tensor and per axis",
+    )
     entries = obj.get("entries", [])
     _require(isinstance(entries, list), "entries must be a list")
     arr = np.zeros(shape, dtype=np.int64)
@@ -73,8 +88,8 @@ def _dense_from_obj(obj: dict, expect_field: Optional[PrimeField] = None):
         )
         idx = []
         for axis, i in enumerate(index):
-            _require(isinstance(i, int) and 1 <= i <= shape[axis],
-                     f"index {i} out of range on axis {axis + 1}")
+            if not (_is_int(i) and 1 <= i <= shape[axis]):
+                raise FormatError(f"index {i} out of range on axis {axis + 1}")
             idx.append(i - 1)
         idx = tuple(idx)
         _require(idx not in seen, f"duplicate index {index}")
@@ -127,7 +142,7 @@ def decomposition_from_obj(
         _require(isinstance(item, dict), "each term must be an object")
         axis1 = _int_field(item, "axis")
         u = item.get("u")
-        _require(isinstance(u, list) and all(isinstance(x, int) for x in u),
+        _require(isinstance(u, list) and all(_is_int(x) for x in u),
                  "term vector u must be a list of integers")
         v_field, v_shape, v_arr = _dense_from_obj(item.get("v"), expect_field=field)
         if field is None:
@@ -156,7 +171,7 @@ def subspace_from_obj(obj: dict, field: PrimeField) -> Subspace:
     basis = obj.get("basis")
     _require(
         isinstance(basis, list)
-        and all(isinstance(row, list) and all(isinstance(x, int) for x in row) for row in basis),
+        and all(isinstance(row, list) and all(_is_int(x) for x in row) for row in basis),
         "basis must be a list of integer rows",
     )
     for row in basis:

@@ -2,7 +2,9 @@
 
 The oracles enumerate: row spaces as frozensets of vector tuples, kernels by
 trying every vector, and pairings by explicit loops. They never call the
-code paths they are used to check.
+code paths they are used to check. The triangular reference is the plain
+fold-chain walk that searches every component from scratch, kept to check
+the result reuse in ``check_triangular``.
 """
 
 from itertools import product
@@ -17,7 +19,10 @@ from slicerank import (
     SliceTerm,
     Subspace,
     Tensor,
+    block_component,
+    slice_rank_exact,
 )
+from slicerank.serialize import certificate_to_obj
 
 
 def all_vectors(p, n):
@@ -103,3 +108,61 @@ def random_distinguished_axis_tensor(rng, field: PrimeField, blocks: BlockStruct
             size = tuple(s.stop - s.start for s in sl)
             data[sl] = rng.integers(0, field.p, size=size)
     return Tensor(field, blocks.shape, data)
+
+
+def reference_check_triangular(t: Tensor, blocks: BlockStructure) -> dict:
+    """The ``check_triangular`` report, with every tensor searched afresh.
+
+    Walks the fold chain by recursing into the merged leading component and
+    computes the rank of the current tensor, its leading component and its
+    last block at every level, reusing nothing.
+    """
+    d = t.order
+    k = blocks.num_blocks
+    diag_results = [
+        slice_rank_exact(block_component(t, blocks, (j,) * d)) for j in range(k)
+    ]
+    total = slice_rank_exact(t)
+    sigma_sum = sum(r.sigma for r in diag_results)
+    if total.sigma > sigma_sum:
+        status = "inequality_holds"
+    elif total.sigma == sigma_sum:
+        status = "equal"
+    else:
+        status = "violation"
+    fold_chain = []
+    current = t
+    current_sizes = blocks.sizes
+    while len(current_sizes[0]) >= 2:
+        kk = len(current_sizes[0])
+        folded = BlockStructure(
+            tuple((sum(axis[: kk - 1]), axis[kk - 1]) for axis in current_sizes)
+        )
+        leading = block_component(current, folded, (0,) * d)
+        trailing = block_component(current, folded, (1,) * d)
+        sig_cur = slice_rank_exact(current).sigma
+        sig_lead = slice_rank_exact(leading).sigma
+        sig_trail = slice_rank_exact(trailing).sigma
+        step_ok = sig_cur >= sig_lead + sig_trail
+        fold_chain.append(
+            {
+                "levels": kk,
+                "sigma": sig_cur,
+                "sigma_leading": sig_lead,
+                "sigma_last_block": sig_trail,
+                "holds": step_ok,
+            }
+        )
+        if not step_ok:
+            status = "violation"
+        current = leading
+        current_sizes = tuple(axis[: kk - 1] for axis in current_sizes)
+    return {
+        "sigma_parts": [r.sigma for r in diag_results],
+        "sigma_sum": sigma_sum,
+        "sigma_total": total.sigma,
+        "certificates": [certificate_to_obj(r.certificate) for r in diag_results]
+        + [certificate_to_obj(total.certificate)],
+        "fold_chain": fold_chain,
+        "status": status,
+    }

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from slicerank.cli import main
 from slicerank.serialize import dump_json, tensor_to_obj
 from slicerank import PrimeField, Tensor, levi_civita
@@ -97,6 +99,46 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "rank", "-i", str(bad))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "tensor",
+    [
+        {"prime": 3, "shape": [3, 3, 3], "entries": [{"index": [True, True, True], "value": 1}]},
+        {"prime": 3, "shape": [True, 3], "entries": []},
+        {"prime": 3, "shape": [100000, 100000, 100000], "entries": []},
+        {"prime": 3, "shape": [0, 10**30], "entries": []},
+    ],
+    ids=["boolean-index", "boolean-shape", "huge-shape", "huge-axis-no-cells"],
+)
+def test_rank_rejects_malformed_tensor_with_exit_two(tmp_path, capsys, tensor):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(tensor))
+    code, out, err = run(capsys, "rank", "-i", str(path))
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "flag, obj",
+    [
+        ("--certificate", {"bound": 0, "subspaces": [
+            {"ambient": 2, "basis": [[True, False], [False, True]]}] * 3}),
+        ("--decomposition", [{"axis": 1, "u": [True, False],
+                              "v": {"prime": 3, "shape": [2, 2], "entries": []}}]),
+    ],
+    ids=["certificate-basis", "decomposition-u"],
+)
+def test_verify_rejects_boolean_integers_with_exit_two(tmp_path, capsys, flag, obj):
+    tensor_path = tmp_path / "zero.json"
+    dump_json(tensor_to_obj(Tensor.zeros(GF3, (2, 2, 2))), str(tensor_path))
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "-i", str(tensor_path), flag, str(path))
+    assert code == 2
+    assert out == ""
+    assert "integer" in err
 
 
 def test_budget_exit_code(tmp_path, capsys):

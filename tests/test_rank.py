@@ -160,11 +160,6 @@ def test_enumeration_limit_refusal():
     assert slice_rank_exact(eps, limit=10**6).sigma == 3
 
 
-def test_antichain_bound_start_matches_plain_search():
-    eps = levi_civita(GF3)
-    assert slice_rank_exact(eps, use_antichain_bound=True).sigma == 3
-
-
 # --- order-2 tensors: dual search cross-checks matrix rank ---
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_distinguished_axis_tensor
+from helpers import random_distinguished_axis_tensor, reference_check_triangular
 from slicerank import (
     BlockStructure,
     DualCertificate,
@@ -311,6 +311,28 @@ def test_triangular_seeded_three_blocks():
         report = check_triangular(t, blocks)
         assert report["status"] in ("equal", "inequality_holds"), report
         assert all(step["holds"] for step in report["fold_chain"])
+
+
+@pytest.mark.parametrize(
+    "field, sizes",
+    [
+        (GF2, ((1, 2), (2, 1), (1, 2))),
+        (GF2, ((1, 2, 1), (2, 1, 1), (1, 1, 2))),
+        (GF2, ((1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1))),
+        (GF2, ((1, 0, 2), (2, 1, 0), (1, 1, 1))),
+        (GF3, ((1, 2), (2, 1), (1, 1))),
+        (GF3, ((1, 1, 1), (1, 1, 1), (1, 1, 1))),
+        (GF3, ((1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0))),
+    ],
+    ids=["gf2-k2", "gf2-k3", "gf2-k4", "gf2-k3-empty-block",
+         "gf3-k2", "gf3-k3", "gf3-k4-empty-blocks"],
+)
+def test_triangular_report_matches_reference_walk(field, sizes):
+    blocks = BlockStructure(sizes)
+    for trial in range(3):
+        rng = np.random.default_rng([23, trial])
+        t = random_block_upper_triangular(field, blocks, rng)
+        assert check_triangular(t, blocks) == reference_check_triangular(t, blocks)
 
 
 # --- obstruction demo ---
