@@ -45,7 +45,9 @@ from .splitting import (
 )
 from .normalize import triangular_normalize
 from .serialize import (
+    MAX_AXES,
     certificate_from_obj,
+    check_shape,
     decomposition_from_obj,
     dump_json,
     load_json,
@@ -87,14 +89,17 @@ def _parse_blocks(text: str) -> BlockStructure:
         )
     except ValueError:
         raise FormatError(f"cannot parse block sizes {text!r}") from None
-    return BlockStructure(sizes)
+    blocks = BlockStructure(sizes)
+    check_shape(blocks.shape)
+    return blocks
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
+        shape = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise FormatError(f"cannot parse shape {text!r}") from None
+    return check_shape(shape)
 
 
 def cmd_rank(args) -> int:
@@ -177,6 +182,10 @@ def cmd_demo(args) -> int:
     elif args.name == "diagonal":
         if args.size is None or args.ones is None:
             raise PreconditionError("diagonal demo needs --size and --ones")
+        if args.order >= 2 and 0 <= args.ones <= args.size:
+            # diagonal_tensor refuses the other arguments itself (exit 5); the
+            # order is capped so that a huge one is refused without building its shape
+            check_shape((args.size,) * min(args.order, MAX_AXES + 1))
         t = diagonal_tensor(field, args.size, args.ones, order=args.order)
         _emit(tensor_to_obj(t), args.output)
     elif args.name == "obstruction":

@@ -6,7 +6,10 @@ annihilated by every product functional u_1 x ... x u_d with u_i in U_i.
 Over GF(p) the subspaces form a finite canonical family, so minimizing over
 them computes the rank exactly: try r = 0, 1, 2, ..., codimension
 compositions in lexicographic order, subspaces in canonical enumeration
-order, and return the first annihilating tuple. The first success is a
+order, and return the first annihilating tuple. Every axis of that search
+is the same batched step: one matrix product contracts the partly
+contracted tensor against all candidate bases of the axis, and one ``any``
+finds the candidates that annihilate it. The first success is a
 certificate; expanding T in a basis adapted to the certificate turns it
 back into a decomposition with exactly r terms.
 
@@ -145,44 +148,43 @@ def _compositions(total: int, caps: Sequence[int]):
 
 @lru_cache(maxsize=None)
 def _grassmannian_stack(p: int, ambient_dim: int, dim: int) -> np.ndarray:
-    """All canonical bases of one dimension stacked into a (count, dim, n) array."""
+    """All canonical bases of one dimension, transposed and stacked as (count, n, dim)."""
     subs = grassmannian(p, ambient_dim, dim)
-    return np.ascontiguousarray(np.stack([s.basis.data for s in subs]))
+    return np.ascontiguousarray(np.stack([s.basis.data.T for s in subs]))
 
 
 def _search_composition(data: np.ndarray, p: int, dims: Sequence[int]) -> Optional[list[int]]:
     """First subspace tuple (by enumeration index) annihilating the array.
 
-    The search walks the per-axis canonical subspace lists depth first,
-    carrying the partially contracted array; once the partial contraction
-    vanishes, any completion works and the lexicographically first one is
-    taken. On the innermost axis all candidate bases are contracted in one
-    batched product, which keeps the hot loop out of Python.
+    The search is depth first over the axes. The partly contracted array is
+    kept as a matrix whose rows run over the next raw axis and whose columns
+    run over the remaining raw axes, then the contracted ones. One product
+    with the axis's stack of candidate bases contracts it for every
+    candidate at once, and one ``any`` finds the candidates that vanish. A
+    vanished candidate completes with index 0 on every later axis, so the
+    answer on an axis is the first vanished candidate unless a live one
+    before it succeeds deeper.
     """
     d = data.ndim
-    lists = [grassmannian(p, data.shape[axis], dims[axis]) for axis in range(d)]
-    last_stack = _grassmannian_stack(p, data.shape[d - 1], dims[d - 1])
-    count = last_stack.shape[0]
-    last_flat = last_stack.reshape(count * last_stack.shape[1], data.shape[d - 1])
+    if not data.any():
+        return [0] * d
+    stacks = [_grassmannian_stack(p, data.shape[axis], dims[axis]) for axis in range(d)]
 
-    def rec(axis: int, arr: np.ndarray) -> Optional[list[int]]:
-        if not arr.any():
-            return [0] * (d - axis)
-        if axis == d:
-            return None
-        if axis == d - 1:
-            # arr axes 0..d-2 are already contracted; the last one is raw
-            batch = (last_flat @ arr.reshape(-1, arr.shape[-1]).T) % p
-            alive = batch.reshape(count, -1).any(axis=1)
-            hit = np.flatnonzero(~alive)
-            return [int(hit[0])] if hit.size else None
-        for idx, sub in enumerate(lists[axis]):
-            found = rec(axis + 1, mode_product(arr, sub.basis.data, axis, p))
-            if found is not None:
-                return [idx] + found
+    def rec(axis: int, mat: np.ndarray) -> Optional[list[int]]:
+        batch = (mat.T @ stacks[axis]) % p
+        dead = np.flatnonzero(~batch.any(axis=(1, 2)))
+        first_dead = int(dead[0]) if dead.size else len(batch)
+        if axis < d - 1:
+            n_next = data.shape[axis + 1]
+            for idx in range(first_dead):
+                found = rec(axis + 1, batch[idx].reshape(n_next, -1))
+                if found is not None:
+                    return [idx] + found
+        if dead.size:
+            return [first_dead] + [0] * (d - axis - 1)
         return None
 
-    return rec(0, data)
+    return rec(0, data.reshape(data.shape[0], -1))
 
 
 def _matrix_rank_result(t: Tensor, budget: Optional[int]) -> RankResult:

@@ -28,6 +28,8 @@ from .tensor import SliceDecomposition, SliceTerm, Tensor
 # before any array is allocated so that a hostile shape cannot exhaust memory.
 # The largest tensors in the tests and the benchmark have 24**3 cells.
 MAX_DENSE_CELLS = 2**24
+# Most axes a shape may have: numpy refuses arrays of more dimensions.
+MAX_AXES = 64
 
 
 def _require(condition: bool, message: str) -> None:
@@ -41,10 +43,31 @@ def _is_int(x) -> bool:
 
 
 def _int_field(obj: dict, key: str) -> int:
-    _require(key in obj, f"missing field {key!r}")
+    # messages are formatted only on failure: this runs once per tensor entry
+    if key not in obj:
+        raise FormatError(f"missing field {key!r}")
     value = obj[key]
-    _require(_is_int(value), f"field {key!r} must be an integer")
+    if not _is_int(value):
+        raise FormatError(f"field {key!r} must be an integer")
     return value
+
+
+def check_shape(shape: Sequence[int]) -> tuple[int, ...]:
+    """The shape as a tuple, refused with FormatError if no dense array may take it.
+
+    Sizes must be nonnegative integers, with at most MAX_AXES axes and at most
+    MAX_DENSE_CELLS cells in total and on any one axis.
+    """
+    shape = tuple(shape)
+    _require(all(_is_int(n) and n >= 0 for n in shape),
+             "shape must be a list of nonnegative integers")
+    _require(len(shape) <= MAX_AXES,
+             f"shape has {len(shape)} axes, over the limit of {MAX_AXES}")
+    _require(
+        math.prod(shape) <= MAX_DENSE_CELLS and all(n <= MAX_DENSE_CELLS for n in shape),
+        f"shape {list(shape)} is over the limit of {MAX_DENSE_CELLS} cells per tensor and per axis",
+    )
+    return shape
 
 
 def _dense_to_obj(field: PrimeField, arr: np.ndarray) -> dict:
@@ -66,15 +89,8 @@ def _dense_from_obj(obj: dict, expect_field: Optional[PrimeField] = None):
     if expect_field is not None and field != expect_field:
         raise FormatError(f"prime {p} does not match the surrounding context")
     shape = obj.get("shape")
-    _require(
-        isinstance(shape, list) and all(_is_int(n) and n >= 0 for n in shape),
-        "shape must be a list of nonnegative integers",
-    )
-    shape = tuple(shape)
-    _require(
-        math.prod(shape) <= MAX_DENSE_CELLS and all(n <= MAX_DENSE_CELLS for n in shape),
-        f"shape {list(shape)} is over the limit of {MAX_DENSE_CELLS} cells per tensor and per axis",
-    )
+    _require(isinstance(shape, list), "shape must be a list of nonnegative integers")
+    shape = check_shape(shape)
     entries = obj.get("entries", [])
     _require(isinstance(entries, list), "entries must be a list")
     arr = np.zeros(shape, dtype=np.int64)
@@ -92,10 +108,12 @@ def _dense_from_obj(obj: dict, expect_field: Optional[PrimeField] = None):
                 raise FormatError(f"index {i} out of range on axis {axis + 1}")
             idx.append(i - 1)
         idx = tuple(idx)
-        _require(idx not in seen, f"duplicate index {index}")
+        if idx in seen:
+            raise FormatError(f"duplicate index {index}")
         seen.add(idx)
         value = _int_field(e, "value")
-        _require(0 <= value < field.p, f"value {value} not a residue mod {field.p}")
+        if not 0 <= value < p:
+            raise FormatError(f"value {value} not a residue mod {p}")
         arr[idx] = value
     return field, shape, arr
 
@@ -168,6 +186,10 @@ def subspace_to_obj(s: Subspace) -> dict:
 def subspace_from_obj(obj: dict, field: PrimeField) -> Subspace:
     _require(isinstance(obj, dict), "subspace must be a JSON object")
     ambient = _int_field(obj, "ambient")
+    _require(
+        0 <= ambient <= MAX_DENSE_CELLS,
+        f"ambient dimension {ambient} is outside the range 0..{MAX_DENSE_CELLS}",
+    )
     basis = obj.get("basis")
     _require(
         isinstance(basis, list)

@@ -4,7 +4,9 @@ The oracles enumerate: row spaces as frozensets of vector tuples, kernels by
 trying every vector, and pairings by explicit loops. They never call the
 code paths they are used to check. The triangular reference is the plain
 fold-chain walk that searches every component from scratch, kept to check
-the result reuse in ``check_triangular``.
+the result reuse in ``check_triangular``. The search reference is the
+per-candidate subspace walk that the batched ``_search_composition``
+replaced.
 """
 
 from itertools import product
@@ -22,7 +24,9 @@ from slicerank import (
     block_component,
     slice_rank_exact,
 )
+from slicerank.linalg import grassmannian
 from slicerank.serialize import certificate_to_obj
+from slicerank.tensor import mode_product
 
 
 def all_vectors(p, n):
@@ -166,3 +170,38 @@ def reference_check_triangular(t: Tensor, blocks: BlockStructure) -> dict:
         "fold_chain": fold_chain,
         "status": status,
     }
+
+
+def reference_search_composition(data, p, dims):
+    """First subspace tuple (by enumeration index) annihilating the array.
+
+    The search walks the per-axis canonical subspace lists depth first,
+    carrying the partially contracted array; once the partial contraction
+    vanishes, any completion works and the lexicographically first one is
+    taken. On the innermost axis all candidate bases are contracted in one
+    batched product, which keeps the hot loop out of Python.
+    """
+    d = data.ndim
+    lists = [grassmannian(p, data.shape[axis], dims[axis]) for axis in range(d)]
+    last_stack = np.stack([s.basis.data for s in lists[d - 1]])
+    count = last_stack.shape[0]
+    last_flat = last_stack.reshape(count * last_stack.shape[1], data.shape[d - 1])
+
+    def rec(axis, arr):
+        if not arr.any():
+            return [0] * (d - axis)
+        if axis == d:
+            return None
+        if axis == d - 1:
+            # arr axes 0..d-2 are already contracted; the last one is raw
+            batch = (last_flat @ arr.reshape(-1, arr.shape[-1]).T) % p
+            alive = batch.reshape(count, -1).any(axis=1)
+            hit = np.flatnonzero(~alive)
+            return [int(hit[0])] if hit.size else None
+        for idx, sub in enumerate(lists[axis]):
+            found = rec(axis + 1, mode_product(arr, sub.basis.data, axis, p))
+            if found is not None:
+                return [idx] + found
+        return None
+
+    return rec(0, data)

@@ -108,13 +108,43 @@ def test_parse_error_exit_code(tmp_path, capsys):
         {"prime": 3, "shape": [True, 3], "entries": []},
         {"prime": 3, "shape": [100000, 100000, 100000], "entries": []},
         {"prime": 3, "shape": [0, 10**30], "entries": []},
+        {"prime": 3, "shape": [1] * 70, "entries": []},
     ],
-    ids=["boolean-index", "boolean-shape", "huge-shape", "huge-axis-no-cells"],
+    ids=["boolean-index", "boolean-shape", "huge-shape", "huge-axis-no-cells", "seventy-axes"],
 )
 def test_rank_rejects_malformed_tensor_with_exit_two(tmp_path, capsys, tensor):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(tensor))
     code, out, err = run(capsys, "rank", "-i", str(path))
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("additivity", "--shape", "2,-1", "--prime", "2", "--trials", "1", "--seed", "0"),
+        ("demo", "diagonal", "--size", "1", "--ones", "0", "--order", "70"),
+        ("triangular", "--blocks", ";".join(["1"] * 70), "--prime", "2",
+         "--trials", "1", "--seed", "0"),
+    ],
+    ids=["additivity-negative-size", "diagonal-seventy-axes", "triangular-seventy-axes"],
+)
+def test_shape_flags_no_array_can_take_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+@pytest.mark.parametrize("ambient", [-1, 10**30], ids=["negative", "huge"])
+def test_verify_rejects_certificate_ambient_out_of_range_with_exit_two(tmp_path, capsys, ambient):
+    tensor_path = tmp_path / "zero.json"
+    dump_json(tensor_to_obj(Tensor.zeros(GF3, (2, 2, 2))), str(tensor_path))
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"bound": 0, "subspaces": [{"ambient": ambient, "basis": []}] * 3}))
+    code, out, err = run(capsys, "verify", "-i", str(tensor_path), "--certificate", str(path))
     assert code == 2
     assert out == ""
     assert "error" in err

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pairing_zero, random_decomposition
+from helpers import pairing_zero, random_decomposition, reference_search_composition
 from slicerank import (
     DualCertificate,
     EnumerationLimitError,
@@ -31,6 +31,7 @@ from slicerank import (
     slice_rank_exact,
     verify_certificate,
 )
+from slicerank.rank import _search_composition
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -371,6 +372,26 @@ def test_exhaustive_agreement_with_term_counting_oracle():
     for bits, expected in levels.items():
         t = Tensor(GF2, shape, np.array(bits, dtype=np.int64).reshape(shape))
         assert slice_rank_exact(t).sigma == expected, bits
+
+
+def test_search_composition_matches_reference_walk():
+    # every dims tuple, dim-0 subspaces included, on dense and sparse arrays
+    # of orders 2-5 and one array with a zero-size axis
+    from itertools import product as iproduct
+
+    rng = np.random.default_rng(41)
+    cases = [
+        (2, (2, 3), 1.0), (7, (2, 2), 1.0), (3, (3, 2), 0.3),
+        (3, (2, 2, 3), 1.0), (2, (3, 3, 3), 0.2), (5, (2, 2, 2), 1.0), (7, (2, 2, 2), 0.3),
+        (2, (2, 2, 2, 2), 1.0), (3, (2, 2, 2, 2), 0.2),
+        (2, (2, 1, 2, 2, 2), 1.0), (2, (2, 2, 2, 2, 2), 0.1),
+        (3, (2, 0, 2), 1.0),
+    ]
+    for p, shape, density in cases:
+        data = rng.integers(0, p, size=shape) * (rng.random(shape) < density)
+        for dims in iproduct(*(range(n + 1) for n in shape)):
+            expected = reference_search_composition(data, p, dims)
+            assert _search_composition(data, p, dims) == expected, (p, shape, dims)
 
 
 # --- rank invariances ---
