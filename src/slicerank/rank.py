@@ -4,14 +4,30 @@ The slice rank of T is at most r exactly when there are subspaces U_i of
 the dual of each axis space, with codimensions summing to r, such that T is
 annihilated by every product functional u_1 x ... x u_d with u_i in U_i.
 Over GF(p) the subspaces form a finite canonical family, so minimizing over
-them computes the rank exactly: try r = 0, 1, 2, ..., codimension
-compositions in lexicographic order, subspaces in canonical enumeration
-order, and return the first annihilating tuple. Every axis of that search
-is the same batched step: one matrix product contracts the partly
-contracted tensor against all candidate bases of the axis, and one ``any``
-finds the candidates that annihilate it. The first success is a
-certificate; expanding T in a basis adapted to the certificate turns it
-back into a decomposition with exactly r terms.
+them computes the rank exactly. The computation has two phases.
+
+The least-rank pass finds sigma. It starts from the least rank of a
+flattening of T, an attained total that already is sigma when it is at most
+2, and moves the axis with the most subspaces last. Once U_1..U_{d-1} (the
+prefix) are fixed, T contracted by them is a matrix A over the last axis,
+and U_d annihilates it exactly when U_d lies in the kernel of A, so the
+least last-axis codimension is rank(A). Sigma is the least codimension sum
+of a prefix plus its rank(A). Each prefix axis is
+contracted against all its candidate bases of one dimension in one batched
+product, shared by every choice on the later axes, and the ranks come from
+one batched elimination mod p, a block of at most ``_BLOCK_CELLS`` cells at
+a time. Prefixes whose codimension sum cannot beat the best total are
+skipped.
+
+The canonical search then emits the witness at r = sigma only: codimension
+compositions of sigma in lexicographic order, subspaces in canonical
+enumeration order, and the first annihilating tuple is the certificate. No
+r below sigma has one, so this is the first certificate in (rank,
+composition, subspace) order. Every axis of that search is the same batched
+step: one matrix product contracts the partly contracted tensor against all
+candidate bases of the axis, and one ``any`` finds the candidates that
+annihilate it. Expanding T in a basis adapted to the certificate turns it
+back into a decomposition with exactly sigma terms.
 
 Everything is deterministic: identical inputs give identical certificates,
 decompositions, and byte-identical serialized output.
@@ -46,6 +62,10 @@ from .tensor import (
 )
 
 DEFAULT_ENUMERATION_LIMIT = 10**8
+
+# The least-rank pass builds and reduces its partial contractions in blocks
+# of at most this many array cells, which bounds its memory.
+_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,6 +207,102 @@ def _search_composition(data: np.ndarray, p: int, dims: Sequence[int]) -> Option
     return rec(0, data.reshape(data.shape[0], -1))
 
 
+def _least_batch_rank(mats: np.ndarray, p: int, cap: int) -> int:
+    """Least rank mod p in a (count, rows, cols) stack of matrices, or ``cap``.
+
+    One vectorized elimination pass per column of the narrower side: each
+    matrix takes a row with the largest entry in the column as its pivot,
+    and every row, the pivot row included, becomes lead * row - entry *
+    pivot, which clears the column. Scaling rows by the nonzero lead keeps
+    the rank, and the pivot row, now zero, has been counted. A matrix whose
+    count reaches ``cap`` is dropped, and the passes stop once every
+    remaining matrix is zero.
+    """
+    if mats.shape[1] < mats.shape[2]:
+        mats = mats.transpose(0, 2, 1)
+    rank = np.zeros(len(mats), dtype=np.int64)
+    for _ in range(mats.shape[2]):
+        live = rank < cap
+        if not live.all():
+            mats, rank = mats[live], rank[live]
+        if not mats.any():
+            break
+        col = mats[:, :, 0]
+        pivot = col.argmax(axis=1)
+        every = np.arange(len(mats))
+        lead = col[every, pivot]
+        rank += lead > 0
+        rest = mats[:, :, 1:]
+        pivot_row = rest[every, pivot]
+        scaled = np.maximum(lead, 1)[:, None, None] * rest
+        mats = (scaled - col[:, :, None] * pivot_row[:, None, :]) % p
+    return int(rank.min(initial=cap))
+
+
+def _least_rank(data: np.ndarray, p: int, bound: int) -> int:
+    """Least codimension sum of an annihilating subspace tuple, capped at ``bound``.
+
+    Returns ``bound`` when no tuple has a smaller sum. The axis with the
+    most subspaces goes last; the prefix axes are walked depth first with
+    codimensions in increasing order. A batch holds, for a block of prefix
+    tuples, the array they contract to, as matrices whose rows run over the
+    next raw axis. A candidate that kills the array, or a dim-0 subspace,
+    ends its prefix with the total equal to the prefix sum; at the last axis
+    the total is the prefix sum plus the least rank in the batch.
+    """
+    if not data.any():
+        return min(bound, 0)
+    if bound <= 1:  # a nonzero tensor has rank at least 1
+        return bound
+    # Each flattening's rank is an attained total (its annihilator on that
+    # axis, full spaces on the others), so the least one bounds sigma; zero
+    # padding to a common shape keeps the ranks. A tensor has rank 1 exactly
+    # when some flattening does, so a least flattening rank of at most 2 is
+    # sigma itself.
+    d = data.ndim
+    flats = np.zeros((d, max(data.shape), data.size // min(data.shape)), dtype=np.int64)
+    for axis, n in enumerate(data.shape):
+        flats[axis, :n, : data.size // n] = np.moveaxis(data, axis, 0).reshape(n, -1)
+    bound = _least_batch_rank(flats, p, bound)
+    if bound <= 2:
+        return bound
+    last = max(range(d), key=lambda axis: (data.shape[axis], axis))
+    data = data.transpose([axis for axis in range(d) if axis != last] + [last])
+    shape = data.shape
+    best = bound
+
+    def visit(axis: int, batch: np.ndarray, s: int) -> None:
+        nonlocal best
+        if axis == d - 1:
+            best = s + _least_batch_rank(batch, p, best - s)
+            return
+        n, cols = shape[axis], batch.shape[2]
+        for c in range(n + 1):
+            if s + c >= best:
+                return
+            if c == n:  # the dim-0 subspace annihilates everything
+                best = s + c
+                return
+            stack = _grassmannian_stack(p, n, n - c)
+            cells = cols * (n - c)  # per (prefix tuple, candidate) pair
+            cand_step = max(1, _BLOCK_CELLS // cells)
+            for j in range(0, len(stack), cand_step):
+                cands = stack[j : j + cand_step]
+                step = max(1, _BLOCK_CELLS // (cells * len(cands)))
+                for i in range(0, len(batch), step):
+                    out = (batch[i : i + step, None].transpose(0, 1, 3, 2) @ cands) % p
+                    out = out.reshape(-1, shape[axis + 1], cells // shape[axis + 1])
+                    if not out.any(axis=(1, 2)).all():
+                        best = s + c
+                        return
+                    visit(axis + 1, out, s + c)
+                    if s + c >= best:
+                        return
+
+    visit(0, data.reshape(1, shape[0], -1), 0)
+    return best
+
+
 def _matrix_rank_result(t: Tensor, budget: Optional[int]) -> RankResult:
     """Order-2 computation: slice rank is matrix rank, certificate included."""
     p = t.field.p
@@ -219,13 +335,19 @@ def slice_rank_exact(
             the result has status "rank_above_budget" and no sigma.
         limit: refuse (EnumerationLimitError) when the worst-case number of
             subspace tuples for this shape and field exceeds this bound.
+            It counts the full product over every axis
+            (``enumeration_size``), although the least-rank pass enumerates
+            only the prefix axes.
         method: "auto" short-circuits order-2 tensors to matrix rank;
             "dual" forces the subspace search (valid for every order);
             "matrix" demands an order-2 tensor.
 
-    The returned certificate is the first verifying one in (rank,
-    composition, subspace-enumeration) lexicographic order, and the
-    decomposition is derived from it, so outputs are reproducible.
+    The search runs in two phases. The least-rank pass computes sigma as
+    the least prefix codimension sum plus the mod-p rank of the contracted
+    last-axis matrix; the canonical search then runs at r = sigma only. The
+    returned certificate is the first verifying one in (rank, composition,
+    subspace-enumeration) lexicographic order, and the decomposition is
+    derived from it, so outputs are reproducible.
     """
     if method not in ("auto", "dual", "matrix"):
         raise PreconditionError(f"unknown method {method!r}")
@@ -244,22 +366,23 @@ def slice_rank_exact(
 
     trivial_max = min(t.shape)
     hi = trivial_max if budget is None else min(budget, trivial_max)
-    for r in range(hi + 1):
-        for comp in _compositions(r, t.shape):
-            dims = [n - c for n, c in zip(t.shape, comp)]
-            found = _search_composition(t.data, p, dims)
-            if found is None:
-                continue
-            subs = tuple(
-                grassmannian(p, t.shape[axis], dims[axis])[idx]
-                for axis, idx in enumerate(found)
-            )
-            cert = DualCertificate(subs)
-            dec = decomposition_from_certificate(t, cert)
-            return RankResult(r, cert, dec, "dual_search")
-    if budget is not None and budget < trivial_max:
+    # min(shape) is always attained, so only smaller totals are searched for
+    sigma = _least_rank(t.data, p, min(hi + 1, trivial_max))
+    if sigma > hi:
         return RankResult(None, None, None, "dual_search", status="rank_above_budget", exact=False)
-    raise AssertionError("search failed below the trivial rank bound")
+    for comp in _compositions(sigma, t.shape):
+        dims = [n - c for n, c in zip(t.shape, comp)]
+        found = _search_composition(t.data, p, dims)
+        if found is None:
+            continue
+        subs = tuple(
+            grassmannian(p, t.shape[axis], dims[axis])[idx]
+            for axis, idx in enumerate(found)
+        )
+        cert = DualCertificate(subs)
+        dec = decomposition_from_certificate(t, cert)
+        return RankResult(sigma, cert, dec, "dual_search")
+    raise AssertionError("no certificate at the least rank")
 
 
 def certificate_from_decomposition(dec: SliceDecomposition) -> DualCertificate:

@@ -168,16 +168,23 @@ class SliceDecomposition:
         return tuple(t for t in self.terms if t.axis == axis)
 
 
+def _around_axis(arr: np.ndarray, axis: int) -> np.ndarray:
+    """The array as (axes before, axis, axes after), each group flattened.
+
+    Sizes are explicit, so zero-size axes reshape fine.
+    """
+    shape = arr.shape
+    return arr.reshape(prod(shape[:axis]), shape[axis], prod(shape[axis + 1 :]))
+
+
 def mode_product(arr: np.ndarray, mat: np.ndarray, axis: int, p: int) -> np.ndarray:
     """Contract one axis of an array against the columns of a matrix.
 
     Returns the array with ``axis`` replaced by the row index of ``mat``:
     out[..., j, ...] = sum_x mat[j, x] * arr[..., x, ...]  (mod p).
     """
-    moved = np.moveaxis(arr, axis, 0)
-    rest = prod(moved.shape[1:])  # explicit, so zero-size axes reshape fine
-    out = (mat @ moved.reshape(moved.shape[0], rest)) % p
-    return np.moveaxis(out.reshape((mat.shape[0],) + moved.shape[1:]), 0, axis)
+    out = (mat @ _around_axis(arr, axis)) % p
+    return out.reshape(arr.shape[:axis] + (mat.shape[0],) + arr.shape[axis + 1 :])
 
 
 def contract_axis(t: Tensor, h, axis: int) -> Union[Tensor, np.ndarray]:
@@ -193,10 +200,8 @@ def contract_axis(t: Tensor, h, axis: int) -> Union[Tensor, np.ndarray]:
         raise PreconditionError(
             f"functional has length {h.shape}, axis {axis} has size {t.shape[axis]}"
         )
-    moved = np.moveaxis(t.data, axis, 0)
-    out = (h @ moved.reshape(moved.shape[0], prod(moved.shape[1:]))) % t.field.p
     rest = t.shape[:axis] + t.shape[axis + 1 :]
-    result = out.reshape(rest)
+    result = ((h @ _around_axis(t.data, axis)) % t.field.p).reshape(rest)
     if len(rest) == 1:
         return _freeze(result)
     return Tensor(t.field, rest, result)
@@ -206,8 +211,9 @@ def flatten(t: Tensor, axis: int) -> FieldMatrix:
     """Matrix whose row x lists the slice of the tensor at axis index x."""
     if not 0 <= axis < t.order:
         raise PreconditionError(f"axis {axis} out of range for order {t.order}")
-    moved = np.moveaxis(t.data, axis, 0)
-    return FieldMatrix(t.field, moved.reshape(t.shape[axis], prod(moved.shape[1:])))
+    grouped = _around_axis(t.data, axis)
+    before, n, after = grouped.shape
+    return FieldMatrix(t.field, grouped.transpose(1, 0, 2).reshape(n, before * after))
 
 
 def direct_sum_list(tensors: Sequence[Tensor]) -> tuple[Tensor, BlockStructure]:

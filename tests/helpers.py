@@ -6,7 +6,8 @@ code paths they are used to check. The triangular reference is the plain
 fold-chain walk that searches every component from scratch, kept to check
 the result reuse in ``check_triangular``. The search reference is the
 per-candidate subspace walk that the batched ``_search_composition``
-replaced.
+replaced, and the rank reference is the rank-by-rank certificate search
+that the least-rank pass of ``slice_rank_exact`` replaced.
 """
 
 from itertools import product
@@ -15,6 +16,7 @@ import numpy as np
 
 from slicerank import (
     BlockStructure,
+    DualCertificate,
     FieldMatrix,
     PrimeField,
     SliceDecomposition,
@@ -22,9 +24,11 @@ from slicerank import (
     Subspace,
     Tensor,
     block_component,
+    decomposition_from_certificate,
     slice_rank_exact,
 )
 from slicerank.linalg import grassmannian
+from slicerank.rank import RankResult, _compositions, _search_composition
 from slicerank.serialize import certificate_to_obj
 from slicerank.tensor import mode_product
 
@@ -205,3 +209,31 @@ def reference_search_composition(data, p, dims):
         return None
 
     return rec(0, data)
+
+
+def reference_slice_rank(t: Tensor, budget=None) -> RankResult:
+    """The dual-search ``slice_rank_exact`` result, found rank by rank.
+
+    Tries r = 0, 1, 2, ... up to the budget and, for each r, every
+    codimension composition in lexicographic order, so every rank below
+    sigma is refuted by the canonical search itself.
+    """
+    p = t.field.p
+    trivial_max = min(t.shape)
+    hi = trivial_max if budget is None else min(budget, trivial_max)
+    for r in range(hi + 1):
+        for comp in _compositions(r, t.shape):
+            dims = [n - c for n, c in zip(t.shape, comp)]
+            found = _search_composition(t.data, p, dims)
+            if found is None:
+                continue
+            subs = tuple(
+                grassmannian(p, t.shape[axis], dims[axis])[idx]
+                for axis, idx in enumerate(found)
+            )
+            cert = DualCertificate(subs)
+            dec = decomposition_from_certificate(t, cert)
+            return RankResult(r, cert, dec, "dual_search")
+    if budget is not None and budget < trivial_max:
+        return RankResult(None, None, None, "dual_search", status="rank_above_budget", exact=False)
+    raise AssertionError("search failed below the trivial rank bound")

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pairing_zero, random_decomposition, reference_search_composition
+from helpers import (
+    pairing_zero,
+    random_decomposition,
+    reference_search_composition,
+    reference_slice_rank,
+)
 from slicerank import (
     DualCertificate,
     EnumerationLimitError,
@@ -32,6 +37,8 @@ from slicerank import (
     verify_certificate,
 )
 from slicerank.rank import _search_composition
+from slicerank.serialize import rank_result_to_obj
+from slicerank.tensor import mode_product
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -394,6 +401,60 @@ def test_search_composition_matches_reference_walk():
             assert _search_composition(data, p, dims) == expected, (p, shape, dims)
 
 
+def test_least_rank_matches_reference_search():
+    # same sigma, certificate, decomposition and status as the rank-by-rank
+    # search: orders 2-5 over GF(2), GF(3), GF(5), GF(7) at three densities,
+    # a zero-size axis, length-1 axes, sums of slice terms on different axes
+    # (sigma below every flattening rank), and budgets below, at and above
+    # sigma
+    shapes = {
+        2: [(3, 4), (2, 3, 3), (3, 3, 3), (2, 2, 2, 2), (2, 2, 2, 2, 2), (1, 3, 3)],
+        3: [(4, 2), (2, 3, 3), (2, 2, 2, 3), (1, 2, 2, 2, 2), (3, 1, 2)],
+        5: [(3, 3), (2, 2, 3), (2, 2, 2, 2), (2, 2, 1, 2, 2), (2, 0, 3)],
+        7: [(2, 3), (2, 2, 2), (2, 1, 2, 2), (1, 2, 2)],
+    }
+    term_shapes = {2: [(3, 3, 3), (3, 3, 4), (3, 3, 3, 3)], 3: [(3, 3, 3)], 5: [(3, 3, 3)]}
+    rng = np.random.default_rng(53)
+    tensors = []
+    for p, shape_list in shapes.items():
+        for shape in shape_list:
+            for density in (1.0, 0.3, 0.1):
+                data = rng.integers(0, p, size=shape) * (rng.random(shape) < density)
+                tensors.append(Tensor(PrimeField(p), shape, data))
+    for p, shape_list in term_shapes.items():
+        for shape in shape_list:
+            for _ in range(4):
+                dec = random_decomposition(rng, PrimeField(p), shape, max_terms_per_axis=1)
+                tensors.append(evaluate_decomposition(dec))
+    for t in tensors:
+        expected = reference_slice_rank(t)
+        sigma = expected.sigma
+        for budget in (None, sigma - 1, sigma, sigma + 1):
+            ref = expected if budget is None else reference_slice_rank(t, budget)
+            got = slice_rank_exact(t, budget=budget, method="dual")
+            case = (t.field.p, t.shape, t.data.tolist(), budget)
+            assert got.status == ref.status, case
+            assert got.certificate == ref.certificate, case
+            assert rank_result_to_obj(got) == rank_result_to_obj(ref), case
+
+
+def test_least_rank_pass_memory_stays_small():
+    # the least-rank pass contracts and reduces in bounded blocks: its peak
+    # here is about 1 MB, and about 2.8 MB when one block takes everything
+    import tracemalloc
+
+    t = random_tensor(GF3, (4, 4, 4), np.random.default_rng(61))
+    slice_rank_exact(t)  # fill the subspace caches outside the measurement
+    tracemalloc.start()
+    try:
+        res = slice_rank_exact(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.sigma == 4
+    assert peak < 2 * 2**20, peak
+
+
 # --- rank invariances ---
 
 def test_rank_bounded_by_smallest_axis():
@@ -430,3 +491,34 @@ def test_rank_unchanged_by_zero_padding():
         padded_data[:2] = t.data
         padded = Tensor(GF2, (3, 2, 2), padded_data)
         assert slice_rank_exact(padded).sigma == slice_rank_exact(t).sigma
+
+
+def _random_invertible(rng, p, n):
+    while True:
+        mat = rng.integers(0, p, size=(n, n))
+        if matrix_rank(FieldMatrix(PrimeField(p), mat)) == n:
+            return mat
+
+
+def test_rank_invariant_under_change_of_basis():
+    # sigma is a GL(n_1, p) x ... x GL(n_d, p) invariant; the search sees
+    # different supports, and each answer still carries both witnesses
+    rng = np.random.default_rng(59)
+    cases = [(2, (3, 3, 3)), (3, (2, 3, 3)), (5, (2, 2, 3)), (2, (2, 2, 2, 2)), (3, (3, 3, 3))]
+    for p, shape in cases:
+        field = PrimeField(p)
+        for trial in range(4):
+            if trial % 2:
+                t = evaluate_decomposition(random_decomposition(rng, field, shape, 1))
+            else:
+                t = random_tensor(field, shape, rng)
+            base = slice_rank_exact(t).sigma
+            for _ in range(3):
+                data = t.data
+                for axis, n in enumerate(shape):
+                    data = mode_product(data, _random_invertible(rng, p, n), axis, p)
+                moved = Tensor(field, shape, data)
+                res = slice_rank_exact(moved)
+                assert res.sigma == base, (p, shape, trial)
+                assert verify_certificate(moved, res.certificate)
+                assert evaluate_decomposition(res.decomposition) == moved
