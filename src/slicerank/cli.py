@@ -165,6 +165,8 @@ def cmd_split(args) -> int:
 def cmd_direct_sum(args) -> int:
     t1 = tensor_from_obj(load_json(args.left))
     t2 = tensor_from_obj(load_json(args.right))
+    if t1.order == t2.order:  # direct_sum refuses other orders itself (exit 5)
+        check_shape(tuple(a + b for a, b in zip(t1.shape, t2.shape)))
     total, blocks = direct_sum(t1, t2)
     blocks_obj = [list(axis) for axis in blocks.sizes]
     if args.output:
@@ -191,6 +193,8 @@ def cmd_demo(args) -> int:
     elif args.name == "obstruction":
         if args.m is None:
             raise PreconditionError("obstruction demo needs --m")
+        if args.m > 0:  # the demo refuses a negative m itself (exit 5)
+            check_shape((3 * args.m,) * 3)
         _emit(levi_civita_obstruction_demo(args.m, field), args.output)
     else:
         raise PreconditionError(f"unknown demo {args.name!r}")
@@ -200,6 +204,7 @@ def cmd_demo(args) -> int:
 def cmd_additivity(args) -> int:
     field = PrimeField(args.prime)
     shape = _parse_shape(args.shape)
+    check_shape(tuple(2 * n for n in shape))  # the direct sum of two summands
     failures = 0
     for trial in range(args.trials):
         rng = np.random.default_rng([args.seed, trial])

@@ -4,30 +4,23 @@ The slice rank of T is at most r exactly when there are subspaces U_i of
 the dual of each axis space, with codimensions summing to r, such that T is
 annihilated by every product functional u_1 x ... x u_d with u_i in U_i.
 Over GF(p) the subspaces form a finite canonical family, so minimizing over
-them computes the rank exactly. The computation has two phases.
+them computes the rank exactly.
 
-The least-rank pass finds sigma. It starts from the least rank of a
-flattening of T, an attained total that already is sigma when it is at most
-2, and moves the axis with the most subspaces last. Once U_1..U_{d-1} (the
-prefix) are fixed, T contracted by them is a matrix A over the last axis,
-and U_d annihilates it exactly when U_d lies in the kernel of A, so the
-least last-axis codimension is rank(A). Sigma is the least codimension sum
-of a prefix plus its rank(A). Each prefix axis is
-contracted against all its candidate bases of one dimension in one batched
-product, shared by every choice on the later axes, and the ranks come from
-one batched elimination mod p, a block of at most ``_BLOCK_CELLS`` cells at
-a time. Prefixes whose codimension sum cannot beat the best total are
-skipped.
-
-The canonical search then emits the witness at r = sigma only: codimension
-compositions of sigma in lexicographic order, subspaces in canonical
-enumeration order, and the first annihilating tuple is the certificate. No
-r below sigma has one, so this is the first certificate in (rank,
-composition, subspace) order. Every axis of that search is the same batched
-step: one matrix product contracts the partly contracted tensor against all
-candidate bases of the axis, and one ``any`` finds the candidates that
-annihilate it. Expanding T in a basis adapted to the certificate turns it
-back into a decomposition with exactly sigma terms.
+One walk finds sigma and its certificate. Once U_1..U_{d-1} (the prefix)
+are fixed, T contracted by them is a matrix A over the last axis, and U_d
+annihilates it exactly when U_d lies in the kernel of A, so the least total
+of a prefix is its codimension sum plus rank(A), reached only by U_d = ker
+A. The walk visits prefix codimension tuples in lexicographic order and,
+within one, prefix subspace tuples in canonical enumeration order. A total
+it finds becomes the limit less one, so only a strictly smaller total can
+replace it: the tuple kept is the first of the least total, which makes it
+the first certificate in (rank, composition, subspace) order. Each prefix
+axis is contracted against all its candidate bases in one batched product,
+and the ranks of A come from one batched elimination mod p, a block of at
+most ``_BLOCK_CELLS`` cells at a time. The walk starts from the least rank
+of a flattening of T, an attained total, and stops at a total known to be
+least. Expanding T in a basis adapted to the certificate turns it back into
+a decomposition with exactly sigma terms.
 
 Everything is deterministic: identical inputs give identical certificates,
 decompositions, and byte-identical serialized output.
@@ -63,8 +56,8 @@ from .tensor import (
 
 DEFAULT_ENUMERATION_LIMIT = 10**8
 
-# The least-rank pass builds and reduces its partial contractions in blocks
-# of at most this many array cells, which bounds its memory.
+# The walk builds and reduces its partial contractions in blocks of at most
+# this many array cells, which bounds its memory.
 _BLOCK_CELLS = 1 << 15
 
 
@@ -155,17 +148,6 @@ def enumeration_size(shape: Sequence[int], p: int) -> int:
     return prod(count_subspaces(n, p) for n in shape)
 
 
-def _compositions(total: int, caps: Sequence[int]):
-    """All tuples with given sum, 0 <= part <= cap, in lexicographic order."""
-    if len(caps) == 1:
-        if 0 <= total <= caps[0]:
-            yield (total,)
-        return
-    for first in range(min(total, caps[0]) + 1):
-        for rest in _compositions(total - first, caps[1:]):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=None)
 def _grassmannian_stack(p: int, ambient_dim: int, dim: int) -> np.ndarray:
     """All canonical bases of one dimension, transposed and stacked as (count, n, dim)."""
@@ -173,42 +155,8 @@ def _grassmannian_stack(p: int, ambient_dim: int, dim: int) -> np.ndarray:
     return np.ascontiguousarray(np.stack([s.basis.data.T for s in subs]))
 
 
-def _search_composition(data: np.ndarray, p: int, dims: Sequence[int]) -> Optional[list[int]]:
-    """First subspace tuple (by enumeration index) annihilating the array.
-
-    The search is depth first over the axes. The partly contracted array is
-    kept as a matrix whose rows run over the next raw axis and whose columns
-    run over the remaining raw axes, then the contracted ones. One product
-    with the axis's stack of candidate bases contracts it for every
-    candidate at once, and one ``any`` finds the candidates that vanish. A
-    vanished candidate completes with index 0 on every later axis, so the
-    answer on an axis is the first vanished candidate unless a live one
-    before it succeeds deeper.
-    """
-    d = data.ndim
-    if not data.any():
-        return [0] * d
-    stacks = [_grassmannian_stack(p, data.shape[axis], dims[axis]) for axis in range(d)]
-
-    def rec(axis: int, mat: np.ndarray) -> Optional[list[int]]:
-        batch = (mat.T @ stacks[axis]) % p
-        dead = np.flatnonzero(~batch.any(axis=(1, 2)))
-        first_dead = int(dead[0]) if dead.size else len(batch)
-        if axis < d - 1:
-            n_next = data.shape[axis + 1]
-            for idx in range(first_dead):
-                found = rec(axis + 1, batch[idx].reshape(n_next, -1))
-                if found is not None:
-                    return [idx] + found
-        if dead.size:
-            return [first_dead] + [0] * (d - axis - 1)
-        return None
-
-    return rec(0, data.reshape(data.shape[0], -1))
-
-
-def _least_batch_rank(mats: np.ndarray, p: int, cap: int) -> int:
-    """Least rank mod p in a (count, rows, cols) stack of matrices, or ``cap``.
+def _batch_ranks(mats: np.ndarray, p: int, cap: int) -> np.ndarray:
+    """Ranks mod p of a (count, rows, cols) stack of matrices, each capped at ``cap``.
 
     One vectorized elimination pass per column of the narrower side: each
     matrix takes a row with the largest entry in the column as its pivot,
@@ -216,15 +164,19 @@ def _least_batch_rank(mats: np.ndarray, p: int, cap: int) -> int:
     pivot, which clears the column. Scaling rows by the nonzero lead keeps
     the rank, and the pivot row, now zero, has been counted. A matrix whose
     count reaches ``cap`` is dropped, and the passes stop once every
-    remaining matrix is zero.
+    remaining matrix is zero. A cap of at most 1 is answered by one ``any``.
     """
+    if cap <= 1:
+        return np.where(mats.any(axis=(1, 2)), cap, 0)
     if mats.shape[1] < mats.shape[2]:
         mats = mats.transpose(0, 2, 1)
+    ranks = np.full(len(mats), cap, dtype=np.int64)
+    live = np.arange(len(mats))
     rank = np.zeros(len(mats), dtype=np.int64)
     for _ in range(mats.shape[2]):
-        live = rank < cap
-        if not live.all():
-            mats, rank = mats[live], rank[live]
+        keep = rank < cap
+        if not keep.all():
+            mats, rank, live = mats[keep], rank[keep], live[keep]
         if not mats.any():
             break
         col = mats[:, :, 0]
@@ -236,71 +188,105 @@ def _least_batch_rank(mats: np.ndarray, p: int, cap: int) -> int:
         pivot_row = rest[every, pivot]
         scaled = np.maximum(lead, 1)[:, None, None] * rest
         mats = (scaled - col[:, :, None] * pivot_row[:, None, :]) % p
-    return int(rank.min(initial=cap))
+    ranks[live] = np.minimum(rank, cap)
+    return ranks
 
 
-def _least_rank(data: np.ndarray, p: int, bound: int) -> int:
-    """Least codimension sum of an annihilating subspace tuple, capped at ``bound``.
+def _canonical_certificate(
+    data: np.ndarray, p: int, limit: int
+) -> Optional[tuple[list[int], list[int]]]:
+    """Subspace dimensions and enumeration indices of the canonical certificate.
 
-    Returns ``bound`` when no tuple has a smaller sum. The axis with the
-    most subspaces goes last; the prefix axes are walked depth first with
-    codimensions in increasing order. A batch holds, for a block of prefix
-    tuples, the array they contract to, as matrices whose rows run over the
-    next raw axis. A candidate that kills the array, or a dim-0 subspace,
-    ends its prefix with the total equal to the prefix sum; at the last axis
-    the total is the prefix sum plus the least rank in the batch.
+    That is the first annihilating subspace tuple of the least bound in
+    (rank, composition, subspace) order, or None when the least bound
+    exceeds ``limit``. The walk visits prefix codimension tuples (every
+    axis but the last) in lexicographic order and, within one, prefix
+    subspace tuples in enumeration order. A batch holds, for a block of
+    prefix tuples, the array they contract to, as matrices whose rows run
+    over the next raw axis; a block takes whole candidate stacks for as
+    many rows as fit, or one row and part of a stack, so blocks stay in
+    enumeration order. A row's indices are read back from the (first row,
+    first candidate, candidate count) of its block on each axis. At the
+    last prefix axis a tuple's total is its codimension sum plus rank(A);
+    a total found becomes the limit less one, so the tuple kept is the
+    first of the least total, and its last subspace is ker A.
     """
+    if limit < 0:
+        return None
+    d, shape = data.ndim, data.shape
     if not data.any():
-        return min(bound, 0)
-    if bound <= 1:  # a nonzero tensor has rank at least 1
-        return bound
-    # Each flattening's rank is an attained total (its annihilator on that
-    # axis, full spaces on the others), so the least one bounds sigma; zero
-    # padding to a common shape keeps the ranks. A tensor has rank 1 exactly
-    # when some flattening does, so a least flattening rank of at most 2 is
-    # sigma itself.
-    d = data.ndim
-    flats = np.zeros((d, max(data.shape), data.size // min(data.shape)), dtype=np.int64)
-    for axis, n in enumerate(data.shape):
-        flats[axis, :n, : data.size // n] = np.moveaxis(data, axis, 0).reshape(n, -1)
-    bound = _least_batch_rank(flats, p, bound)
-    if bound <= 2:
-        return bound
-    last = max(range(d), key=lambda axis: (data.shape[axis], axis))
-    data = data.transpose([axis for axis in range(d) if axis != last] + [last])
-    shape = data.shape
-    best = bound
+        return list(shape), [0] * d
+    least = 1  # a nonzero tensor has rank at least 1
+    if limit >= 2:
+        # Each flattening's rank is an attained total (its annihilator on
+        # that axis, full spaces on the others), so the least one bounds
+        # sigma; zero padding to a common shape keeps the ranks. A tensor
+        # has rank 1 exactly when some flattening does, so a least
+        # flattening rank of at most 2 is sigma itself.
+        flats = np.zeros((d, max(shape), data.size // min(shape)), dtype=np.int64)
+        for axis, n in enumerate(shape):
+            flats[axis, :n, : data.size // n] = np.moveaxis(data, axis, 0).reshape(n, -1)
+        seed = int(_batch_ranks(flats, p, limit + 1).min())
+        limit = min(limit, seed)
+        if seed <= 2:
+            least = seed
+    best = None  # (dims, prefix indices, A)
 
-    def visit(axis: int, batch: np.ndarray, s: int) -> None:
-        nonlocal best
-        if axis == d - 1:
-            best = s + _least_batch_rank(batch, p, best - s)
+    def leaf(out: np.ndarray, s: int, dims: tuple, chain: tuple) -> None:
+        nonlocal best, limit
+        cap = limit - s  # the largest rank of A that lowers the best total
+        ranks = _batch_ranks(out, p, cap + 1)
+        j = int(ranks.argmin())
+        r = int(ranks[j])
+        if r > cap:
             return
-        n, cols = shape[axis], batch.shape[2]
-        for c in range(n + 1):
-            if s + c >= best:
-                return
-            if c == n:  # the dim-0 subspace annihilates everything
-                best = s + c
-                return
-            stack = _grassmannian_stack(p, n, n - c)
-            cells = cols * (n - c)  # per (prefix tuple, candidate) pair
-            cand_step = max(1, _BLOCK_CELLS // cells)
-            for j in range(0, len(stack), cand_step):
-                cands = stack[j : j + cand_step]
-                step = max(1, _BLOCK_CELLS // (cells * len(cands)))
-                for i in range(0, len(batch), step):
-                    out = (batch[i : i + step, None].transpose(0, 1, 3, 2) @ cands) % p
-                    out = out.reshape(-1, shape[axis + 1], cells // shape[axis + 1])
-                    if not out.any(axis=(1, 2)).all():
-                        best = s + c
-                        return
-                    visit(axis + 1, out, s + c)
-                    if s + c >= best:
-                        return
+        a = out[j]
+        idx = []
+        for r0, k0, kc in reversed(chain):
+            idx.append(k0 + j % kc)
+            j = r0 + j // kc
+        best = (dims + (shape[-1] - r,), idx[::-1], a)
+        limit = s + r - 1
 
-    visit(0, data.reshape(1, shape[0], -1), 0)
-    return best
+    def walk(axis: int, batch: np.ndarray, stacks: list, s: int, dims: tuple, chain: tuple) -> None:
+        stack = stacks[axis]
+        count, n_next = len(stack), shape[axis + 1]
+        cells = batch.shape[2] * stack.shape[2]  # per (prefix tuple, candidate) pair
+        cand_step = min(count, max(1, _BLOCK_CELLS // max(cells, 1)))
+        row_step = max(1, _BLOCK_CELLS // max(cand_step * cells, 1))
+        for r0 in range(0, len(batch), row_step):
+            rows = batch[r0 : r0 + row_step, None].transpose(0, 1, 3, 2)
+            for k0 in range(0, count, cand_step):
+                cands = stack[k0 : k0 + cand_step]
+                out = (rows @ cands) % p
+                out = out.reshape(out.shape[0] * out.shape[1], n_next, -1)
+                link = chain + ((r0, k0, len(cands)),)
+                if axis == d - 2:
+                    leaf(out, s, dims, link)
+                else:
+                    walk(axis + 1, out, stacks, s, dims, link)
+                if limit < max(s, least):
+                    return
+
+    def choose(axis: int, s: int, dims: tuple) -> None:
+        if axis == d - 1:
+            stacks = [_grassmannian_stack(p, n, dim) for n, dim in zip(shape, dims)]
+            walk(0, data.reshape(1, shape[0], -1), stacks, s, dims, ())
+            return
+        n = shape[axis]
+        for c in range(n + 1):
+            if limit < max(s + c, least):
+                return
+            choose(axis + 1, s + c, dims + (n - c,))
+
+    choose(0, 0, ())
+    if best is None:
+        return None
+    dims, idx, a = best
+    # ker A is the one candidate of its dimension that annihilates A
+    stack = _grassmannian_stack(p, shape[-1], dims[-1])
+    idx.append(int(np.argmax(~((a.T @ stack) % p).any(axis=(1, 2)))))
+    return list(dims), idx
 
 
 def _matrix_rank_result(t: Tensor, budget: Optional[int]) -> RankResult:
@@ -336,18 +322,20 @@ def slice_rank_exact(
         limit: refuse (EnumerationLimitError) when the worst-case number of
             subspace tuples for this shape and field exceeds this bound.
             It counts the full product over every axis
-            (``enumeration_size``), although the least-rank pass enumerates
-            only the prefix axes.
+            (``enumeration_size``), the last axis included, although the
+            walk enumerates only the others. The check stops multiplying
+            once the product exceeds the bound, so a huge shape is refused
+            at once.
         method: "auto" short-circuits order-2 tensors to matrix rank;
             "dual" forces the subspace search (valid for every order);
             "matrix" demands an order-2 tensor.
 
-    The search runs in two phases. The least-rank pass computes sigma as
-    the least prefix codimension sum plus the mod-p rank of the contracted
-    last-axis matrix; the canonical search then runs at r = sigma only. The
-    returned certificate is the first verifying one in (rank, composition,
-    subspace-enumeration) lexicographic order, and the decomposition is
-    derived from it, so outputs are reproducible.
+    One walk over the prefix subspace tuples (every axis but the last)
+    finds sigma as the least codimension sum plus the mod-p rank of the
+    contracted last-axis matrix, and keeps the first tuple reaching it.
+    The returned certificate is the first verifying one in (rank,
+    composition, subspace-enumeration) lexicographic order, and the
+    decomposition is derived from it, so outputs are reproducible.
     """
     if method not in ("auto", "dual", "matrix"):
         raise PreconditionError(f"unknown method {method!r}")
@@ -357,32 +345,30 @@ def slice_rank_exact(
         return _matrix_rank_result(t, budget)
 
     p = t.field.p
-    size = enumeration_size(t.shape, p)
-    if size > limit:
-        raise EnumerationLimitError(
-            f"worst-case enumeration size {size} exceeds limit {limit} "
-            f"for shape {t.shape} over GF({p})"
-        )
+    size = 1
+    for n in t.shape:
+        # count_subspaces(n, p) >= p**(k * (n - k)) > limit once k * (n - k)
+        # reaches limit.bit_length() (k = n // 2: the top term of one Gaussian
+        # binomial); such an axis is refused without its count, which takes
+        # minutes for n in the thousands
+        k = n // 2
+        size = limit + 1 if k * (n - k) >= limit.bit_length() else size * count_subspaces(n, p)
+        if size > limit:
+            raise EnumerationLimitError(
+                f"worst-case enumeration size exceeds limit {limit} "
+                f"for shape {t.shape} over GF({p})"
+            )
 
-    trivial_max = min(t.shape)
-    hi = trivial_max if budget is None else min(budget, trivial_max)
-    # min(shape) is always attained, so only smaller totals are searched for
-    sigma = _least_rank(t.data, p, min(hi + 1, trivial_max))
-    if sigma > hi:
+    # min(shape) is always attained
+    hi = min(t.shape) if budget is None else min(budget, min(t.shape))
+    found = _canonical_certificate(t.data, p, hi)
+    if found is None:
         return RankResult(None, None, None, "dual_search", status="rank_above_budget", exact=False)
-    for comp in _compositions(sigma, t.shape):
-        dims = [n - c for n, c in zip(t.shape, comp)]
-        found = _search_composition(t.data, p, dims)
-        if found is None:
-            continue
-        subs = tuple(
-            grassmannian(p, t.shape[axis], dims[axis])[idx]
-            for axis, idx in enumerate(found)
-        )
-        cert = DualCertificate(subs)
-        dec = decomposition_from_certificate(t, cert)
-        return RankResult(sigma, cert, dec, "dual_search")
-    raise AssertionError("no certificate at the least rank")
+    dims, idx = found
+    cert = DualCertificate(
+        tuple(grassmannian(p, n, dim)[i] for n, dim, i in zip(t.shape, dims, idx))
+    )
+    return RankResult(cert.bound, cert, decomposition_from_certificate(t, cert), "dual_search")
 
 
 def certificate_from_decomposition(dec: SliceDecomposition) -> DualCertificate:

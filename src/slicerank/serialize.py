@@ -170,7 +170,7 @@ def decomposition_from_obj(
         _require(1 <= axis1 <= d, f"axis {axis1} out of range for order {d}")
         term_shape = v_shape[:axis] + (len(u),) + v_shape[axis:]
         if inferred_shape is None:
-            inferred_shape = term_shape
+            inferred_shape = check_shape(term_shape)
         _require(
             term_shape == inferred_shape,
             f"term implies shape {term_shape}, expected {inferred_shape}",

@@ -5,9 +5,10 @@ trying every vector, and pairings by explicit loops. They never call the
 code paths they are used to check. The triangular reference is the plain
 fold-chain walk that searches every component from scratch, kept to check
 the result reuse in ``check_triangular``. The search reference is the
-per-candidate subspace walk that the batched ``_search_composition``
-replaced, and the rank reference is the rank-by-rank certificate search
-that the least-rank pass of ``slice_rank_exact`` replaced.
+per-candidate subspace walk over one codimension composition, and the rank
+reference tries every composition of r = 0, 1, 2, ... with it, so the
+certificate it returns is the first in (rank, composition, subspace) order
+by construction; both check the walk of ``slice_rank_exact``.
 """
 
 from itertools import product
@@ -28,7 +29,7 @@ from slicerank import (
     slice_rank_exact,
 )
 from slicerank.linalg import grassmannian
-from slicerank.rank import RankResult, _compositions, _search_composition
+from slicerank.rank import RankResult
 from slicerank.serialize import certificate_to_obj
 from slicerank.tensor import mode_product
 
@@ -176,6 +177,32 @@ def reference_check_triangular(t: Tensor, blocks: BlockStructure) -> dict:
     }
 
 
+def compositions(total, caps):
+    """All tuples with given sum, 0 <= part <= cap, in lexicographic order."""
+    if len(caps) == 1:
+        if 0 <= total <= caps[0]:
+            yield (total,)
+        return
+    for first in range(min(total, caps[0]) + 1):
+        for rest in compositions(total - first, caps[1:]):
+            yield (first,) + rest
+
+
+def reference_first_certificate(data, p, bound):
+    """Dimensions and indices of the first annihilating subspace tuple, or None.
+
+    Compositions of r = 0, 1, ..., ``bound`` are tried in lexicographic
+    order, each with ``reference_search_composition``.
+    """
+    for r in range(bound + 1):
+        for comp in compositions(r, data.shape):
+            dims = [n - c for n, c in zip(data.shape, comp)]
+            found = reference_search_composition(data, p, dims)
+            if found is not None:
+                return dims, found
+    return None
+
+
 def reference_search_composition(data, p, dims):
     """First subspace tuple (by enumeration index) annihilating the array.
 
@@ -216,24 +243,20 @@ def reference_slice_rank(t: Tensor, budget=None) -> RankResult:
 
     Tries r = 0, 1, 2, ... up to the budget and, for each r, every
     codimension composition in lexicographic order, so every rank below
-    sigma is refuted by the canonical search itself.
+    sigma is refuted by the per-candidate walk itself.
     """
     p = t.field.p
     trivial_max = min(t.shape)
     hi = trivial_max if budget is None else min(budget, trivial_max)
-    for r in range(hi + 1):
-        for comp in _compositions(r, t.shape):
-            dims = [n - c for n, c in zip(t.shape, comp)]
-            found = _search_composition(t.data, p, dims)
-            if found is None:
-                continue
-            subs = tuple(
-                grassmannian(p, t.shape[axis], dims[axis])[idx]
-                for axis, idx in enumerate(found)
-            )
-            cert = DualCertificate(subs)
-            dec = decomposition_from_certificate(t, cert)
-            return RankResult(r, cert, dec, "dual_search")
-    if budget is not None and budget < trivial_max:
-        return RankResult(None, None, None, "dual_search", status="rank_above_budget", exact=False)
-    raise AssertionError("search failed below the trivial rank bound")
+    found = reference_first_certificate(t.data, p, hi)
+    if found is None:
+        if budget is not None and budget < trivial_max:
+            return RankResult(None, None, None, "dual_search", status="rank_above_budget", exact=False)
+        raise AssertionError("search failed below the trivial rank bound")
+    dims, idx = found
+    subs = tuple(
+        grassmannian(p, t.shape[axis], dims[axis])[i] for axis, i in enumerate(idx)
+    )
+    cert = DualCertificate(subs)
+    dec = decomposition_from_certificate(t, cert)
+    return RankResult(cert.bound, cert, dec, "dual_search")

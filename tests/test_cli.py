@@ -118,24 +118,36 @@ def test_rank_rejects_malformed_tensor_with_exit_two(tmp_path, capsys, tensor):
     code, out, err = run(capsys, "rank", "-i", str(path))
     assert code == 2
     assert out == ""
-    assert "error" in err
+    assert "error:" in err
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, files",
     [
-        ("additivity", "--shape", "2,-1", "--prime", "2", "--trials", "1", "--seed", "0"),
-        ("demo", "diagonal", "--size", "1", "--ones", "0", "--order", "70"),
-        ("triangular", "--blocks", ";".join(["1"] * 70), "--prime", "2",
-         "--trials", "1", "--seed", "0"),
+        (("additivity", "--shape", "2,-1", "--prime", "2", "--trials", "1", "--seed", "0"), {}),
+        (("demo", "diagonal", "--size", "1", "--ones", "0", "--order", "70"), {}),
+        (("triangular", "--blocks", ";".join(["1"] * 70), "--prime", "2",
+          "--trials", "1", "--seed", "0"), {}),
+        # shapes the command derives: the sum, the (3m)^3 stack, the term's u and v
+        (("direct-sum", "--left", "{part}", "--right", "{part}"),
+         {"part": {"prime": 2, "shape": [128, 128, 257],
+                   "entries": [{"index": [1, 1, 1], "value": 1}]}}),
+        (("demo", "obstruction", "--m", "86"), {}),
+        (("normalize-d3", "-i", "{dec}"),
+         {"dec": [{"axis": 1, "u": [0] * 17, "v": {"prime": 2, "shape": [1024, 1024], "entries": []}}]}),
     ],
-    ids=["additivity-negative-size", "diagonal-seventy-axes", "triangular-seventy-axes"],
+    ids=["additivity-negative-size", "diagonal-seventy-axes", "triangular-seventy-axes",
+         "direct-sum-over-cells", "obstruction-over-cells", "decomposition-over-cells"],
 )
-def test_shape_flags_no_array_can_take_exit_two(capsys, argv):
-    code, out, err = run(capsys, *argv)
+def test_shape_flags_no_array_can_take_exit_two(tmp_path, capsys, argv, files):
+    paths = {}
+    for name, obj in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        dump_json(obj, paths[name])
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2
     assert out == ""
-    assert "error" in err
+    assert "error:" in err
 
 
 @pytest.mark.parametrize("ambient", [-1, 10**30], ids=["negative", "huge"])
@@ -188,6 +200,16 @@ def test_limit_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "rank", "-i", sum_path)
     assert code == 3
     assert "enumeration" in err
+    # an axis whose subspace count alone is past the limit, with thousands of
+    # digits (256) or too slow to compute (2000, also under a 4001-digit
+    # limit), is refused at once
+    for n, limit in ((256, []), (2000, []), (2000, ["--limit", str(10**4000)])):
+        path = tmp_path / f"long{n}.json"
+        dump_json({"prime": 2, "shape": [1, 1, n], "entries": [{"index": [1, 1, 1], "value": 1}]},
+                  str(path))
+        code, out, err = run(capsys, "rank", "-i", str(path), *limit)
+        assert (code, out) == (3, ""), n
+        assert "error:" in err and "enumeration" in err
 
 
 def test_rank_method_cover(tmp_path, capsys):
