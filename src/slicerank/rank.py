@@ -17,10 +17,21 @@ replace it: the tuple kept is the first of the least total, which makes it
 the first certificate in (rank, composition, subspace) order. Each prefix
 axis is contracted against all its candidate bases in one batched product,
 and the ranks of A come from one batched elimination mod p, a block of at
-most ``_BLOCK_CELLS`` cells at a time. The walk starts from the least rank
-of a flattening of T, an attained total, and stops at a total known to be
-least. Expanding T in a basis adapted to the certificate turns it back into
-a decomposition with exactly sigma terms.
+most ``_BLOCK_CELLS`` cells at a time.
+
+The walk starts from the least rank of a flattening of T, an attained
+total, and stops at a total proven least. The proof is the Sawin-Tao
+duality argument applied to the last two axes: with U_1..U_{d-2} fixed,
+every total under them is at least their codimension sum plus the largest
+rank of an n_{d-1} x n_d slice of the array they contract to, since a
+codimension-c subspace on axis d-1 lowers each slice's rank by at most c.
+The least of these over all U_1..U_{d-2} bounds sigma from below; it is
+computed only when the raw slices reach the limit, which an input shows
+before any search. When the last-axis flattening rank, the total of the
+walk's first prefix tuple, meets the lower bound, that tuple is the
+certificate and the walk is skipped; otherwise the walk ends at its first
+total that meets it. Expanding T in a basis adapted to the certificate
+turns it back into a decomposition with exactly sigma terms.
 
 Everything is deterministic: identical inputs give identical certificates,
 decompositions, and byte-identical serialized output.
@@ -164,8 +175,10 @@ def _batch_ranks(mats: np.ndarray, p: int, cap: int) -> np.ndarray:
     pivot, which clears the column. Scaling rows by the nonzero lead keeps
     the rank, and the pivot row, now zero, has been counted. A matrix whose
     count reaches ``cap`` is dropped, and the passes stop once every
-    remaining matrix is zero. A cap of at most 1 is answered by one ``any``.
+    remaining matrix is zero. No rank exceeds the narrower side, so a cap
+    or a side of at most 1 is answered by one ``any``.
     """
+    cap = min(cap, *mats.shape[1:])
     if cap <= 1:
         return np.where(mats.any(axis=(1, 2)), cap, 0)
     if mats.shape[1] < mats.shape[2]:
@@ -192,6 +205,90 @@ def _batch_ranks(mats: np.ndarray, p: int, cap: int) -> np.ndarray:
     return ranks
 
 
+def _prefix_dims(shape: Sequence[int], over):
+    """(codimension sum, subspace dimensions) of the tuples on ``shape``.
+
+    The codimension tuples come in lexicographic order. Each axis's loop
+    stops at the first partial sum for which ``over`` holds, so ``over``
+    must hold for every larger sum too. It is called lazily, after the
+    caller has handled the tuples before, so a bound the caller tightens
+    takes effect at once.
+    """
+
+    def rec(axis: int, s: int, dims: tuple):
+        if axis == len(shape):
+            yield s, dims
+            return
+        n = shape[axis]
+        for c in range(n + 1):
+            if over(s + c):
+                return
+            yield from rec(axis + 1, s + c, dims + (n - c,))
+
+    return rec(0, 0, ())
+
+
+def _contracted_blocks(batch: np.ndarray, stacks: list, shape: Sequence[int], p: int, chain=()):
+    """Contract a batch by each candidate stack in turn, yielding (block, chain).
+
+    ``batch`` holds (rows, n, rest) matrices whose rows run over the next
+    raw axis, and ``shape`` the raw axis lengths after each contracted
+    axis. Every row is multiplied against a whole stack at once; a block
+    takes whole candidate stacks for as many rows as fit in
+    ``_BLOCK_CELLS`` cells, or one row and part of a stack, so blocks come
+    in enumeration order. A yielded block holds (tuples, n_next, rest)
+    matrices whose columns run over the remaining raw axes, then the
+    contracted ones; its chain holds the (first row, first candidate,
+    candidate count) of the block on each axis, from which a row's
+    indices are read back.
+    """
+    stack, n_next = stacks[0], shape[0]
+    count = len(stack)
+    cells = batch.shape[2] * stack.shape[2]  # per (prefix tuple, candidate) pair
+    cand_step = min(count, max(1, _BLOCK_CELLS // max(cells, 1)))
+    row_step = max(1, _BLOCK_CELLS // max(cand_step * cells, 1))
+    for r0 in range(0, len(batch), row_step):
+        rows = batch[r0 : r0 + row_step, None].transpose(0, 1, 3, 2)
+        for k0 in range(0, count, cand_step):
+            cands = stack[k0 : k0 + cand_step]
+            out = (rows @ cands) % p
+            out = out.reshape(out.shape[0] * out.shape[1], n_next, -1)
+            link = chain + ((r0, k0, len(cands)),)
+            if len(stacks) == 1:
+                yield out, link
+            else:
+                yield from _contracted_blocks(out, stacks[1:], shape[1:], p, link)
+
+
+def _slice_rank_bound(data: np.ndarray, p: int, cur: int, least: int) -> int:
+    """Least over subspace tuples on axes 0..d-3 of codim sum + max_k rank M_k.
+
+    The M_k are the n_{d-2} x n_{d-1} slices of the array those subspaces
+    contract to. A subspace of codimension c on axis d-2 lowers the rank of
+    each M_k by at most c, and the contracted last-axis matrix holds every
+    restricted M_k, so this is a lower bound on every total under the
+    tuple, hence on sigma. ``cur`` is the term of the all-full tuple
+    (capped, as every rank here, at the largest useful value); a tuple
+    with a codimension sum at ``cur`` is not visited, and the search gives
+    up, returning a value at most ``least``, once the bound cannot exceed
+    ``least``.
+    """
+    shape = data.shape
+    head = data.reshape(1, shape[0], -1)
+    for s, dims in _prefix_dims(shape[:-2], lambda s: cur <= max(s, least)):
+        if s == 0:  # the all-full tuple
+            continue
+        stacks = [_grassmannian_stack(p, n, dim) for n, dim in zip(shape, dims)]
+        for out, _ in _contracted_blocks(head, stacks, shape[1:-1], p):
+            k = out.shape[2] // shape[-1]
+            slices = out.reshape(len(out), shape[-2], shape[-1], k).transpose(0, 3, 1, 2)
+            ranks = _batch_ranks(slices.reshape(-1, shape[-2], shape[-1]), p, cur - s)
+            cur = min(cur, s + int(ranks.reshape(len(out), k).max(axis=1, initial=0).min()))
+            if cur <= max(s, least):
+                break
+    return cur
+
+
 def _canonical_certificate(
     data: np.ndarray, p: int, limit: int
 ) -> Optional[tuple[list[int], list[int]]]:
@@ -201,87 +298,76 @@ def _canonical_certificate(
     (rank, composition, subspace) order, or None when the least bound
     exceeds ``limit``. The walk visits prefix codimension tuples (every
     axis but the last) in lexicographic order and, within one, prefix
-    subspace tuples in enumeration order. A batch holds, for a block of
-    prefix tuples, the array they contract to, as matrices whose rows run
-    over the next raw axis; a block takes whole candidate stacks for as
-    many rows as fit, or one row and part of a stack, so blocks stay in
-    enumeration order. A row's indices are read back from the (first row,
-    first candidate, candidate count) of its block on each axis. At the
-    last prefix axis a tuple's total is its codimension sum plus rank(A);
-    a total found becomes the limit less one, so the tuple kept is the
-    first of the least total, and its last subspace is ker A.
+    subspace tuples in enumeration order, in the blocks of
+    ``_contracted_blocks``. At the last prefix axis a tuple's total is its
+    codimension sum plus rank(A); a total found becomes the limit less
+    one, so the tuple kept is the first of the least total, and its last
+    subspace is ker A.
+
+    Before the walk, sigma is bounded on both sides. The least flattening
+    rank is an attained total and caps the limit. ``least``, a proven
+    lower bound, is 1, or the least flattening rank when that is at most 2,
+    or the slice rank bound of ``_slice_rank_bound`` when that is larger;
+    above the limit it settles the answer as None at once. The gate: the
+    bound is computed only when the all-full tuple's term, the largest
+    rank of a raw n_{d-2} x n_{d-1} slice, reaches the limit. The bound is
+    at most that term, so below it the bound cannot show that the limit is
+    sigma, and on the inputs measured it then fell short of sigma too. The
+    walk stops at its first total equal to ``least``. First-hit stop: the
+    all-full prefix tuple comes first in the walk's order and its total is
+    the last-axis flattening rank, so when that equals ``least`` the tuple
+    is the answer and the walk is skipped.
     """
     if limit < 0:
         return None
     d, shape = data.ndim, data.shape
     if not data.any():
         return list(shape), [0] * d
-    least = 1  # a nonzero tensor has rank at least 1
-    if limit >= 2:
-        # Each flattening's rank is an attained total (its annihilator on
-        # that axis, full spaces on the others), so the least one bounds
-        # sigma; zero padding to a common shape keeps the ranks. A tensor
-        # has rank 1 exactly when some flattening does, so a least
-        # flattening rank of at most 2 is sigma itself.
-        flats = np.zeros((d, max(shape), data.size // min(shape)), dtype=np.int64)
-        for axis, n in enumerate(shape):
-            flats[axis, :n, : data.size // n] = np.moveaxis(data, axis, 0).reshape(n, -1)
-        seed = int(_batch_ranks(flats, p, limit + 1).min())
-        limit = min(limit, seed)
-        if seed <= 2:
-            least = seed
-    best = None  # (dims, prefix indices, A)
-
-    def leaf(out: np.ndarray, s: int, dims: tuple, chain: tuple) -> None:
-        nonlocal best, limit
-        cap = limit - s  # the largest rank of A that lowers the best total
-        ranks = _batch_ranks(out, p, cap + 1)
-        j = int(ranks.argmin())
-        r = int(ranks[j])
-        if r > cap:
-            return
-        a = out[j]
-        idx = []
-        for r0, k0, kc in reversed(chain):
-            idx.append(k0 + j % kc)
-            j = r0 + j // kc
-        best = (dims + (shape[-1] - r,), idx[::-1], a)
-        limit = s + r - 1
-
-    def walk(axis: int, batch: np.ndarray, stacks: list, s: int, dims: tuple, chain: tuple) -> None:
-        stack = stacks[axis]
-        count, n_next = len(stack), shape[axis + 1]
-        cells = batch.shape[2] * stack.shape[2]  # per (prefix tuple, candidate) pair
-        cand_step = min(count, max(1, _BLOCK_CELLS // max(cells, 1)))
-        row_step = max(1, _BLOCK_CELLS // max(cand_step * cells, 1))
-        for r0 in range(0, len(batch), row_step):
-            rows = batch[r0 : r0 + row_step, None].transpose(0, 1, 3, 2)
-            for k0 in range(0, count, cand_step):
-                cands = stack[k0 : k0 + cand_step]
-                out = (rows @ cands) % p
-                out = out.reshape(out.shape[0] * out.shape[1], n_next, -1)
-                link = chain + ((r0, k0, len(cands)),)
-                if axis == d - 2:
-                    leaf(out, s, dims, link)
-                else:
-                    walk(axis + 1, out, stacks, s, dims, link)
-                if limit < max(s, least):
-                    return
-
-    def choose(axis: int, s: int, dims: tuple) -> None:
-        if axis == d - 1:
-            stacks = [_grassmannian_stack(p, n, dim) for n, dim in zip(shape, dims)]
-            walk(0, data.reshape(1, shape[0], -1), stacks, s, dims, ())
-            return
-        n = shape[axis]
-        for c in range(n + 1):
-            if limit < max(s + c, least):
-                return
-            choose(axis + 1, s + c, dims + (n - c,))
-
-    choose(0, 0, ())
-    if best is None:
+    # Each flattening's rank is an attained total (its annihilator on that
+    # axis, full spaces on the others), so the least one bounds sigma. A
+    # tensor has rank 1 exactly when some flattening does, so a least
+    # flattening rank of at most 2 is sigma itself. The raw last-two-axis
+    # slices, whose largest rank is the all-full term of the slice rank
+    # bound, share the elimination; zero padding to a common shape keeps
+    # every rank.
+    slices = data.reshape(-1, shape[-2], shape[-1])
+    mats = np.zeros((d + len(slices), max(shape), data.size // min(shape)), dtype=np.int64)
+    for axis, n in enumerate(shape):
+        mats[axis, :n, : data.size // n] = np.moveaxis(data, axis, 0).reshape(n, -1)
+    mats[d:, : shape[-2], : shape[-1]] = slices
+    ranks = _batch_ranks(mats, p, limit + 1)
+    seed, term = int(ranks[:d].min()), int(ranks[d:].max())
+    limit = min(limit, seed)
+    least = seed if seed <= 2 else 1
+    if least < limit <= term:
+        least = max(least, _slice_rank_bound(data, p, term, least))
+    if least > limit:
         return None
+    if ranks[d - 1] == least:
+        a = mats[d - 1, : shape[-1], : data.size // shape[-1]]
+        best = (shape[:-1] + (shape[-1] - least,), [0] * (d - 1), a)
+    else:
+        best = None  # (dims, prefix indices, A)
+        head = data.reshape(1, shape[0], -1)
+        for s, dims in _prefix_dims(shape[:-1], lambda s: limit < max(s, least)):
+            stacks = [_grassmannian_stack(p, n, dim) for n, dim in zip(shape, dims)]
+            for out, chain in _contracted_blocks(head, stacks, shape[1:], p):
+                cap = limit - s  # the largest rank of A that lowers the best total
+                block_ranks = _batch_ranks(out, p, cap + 1)
+                j = int(block_ranks.argmin())
+                r = int(block_ranks[j])
+                if r <= cap:
+                    a = out[j]
+                    idx = []
+                    for r0, k0, kc in reversed(chain):
+                        idx.append(k0 + j % kc)
+                        j = r0 + j // kc
+                    best = (dims + (shape[-1] - r,), idx[::-1], a)
+                    limit = s + r - 1
+                if limit < max(s, least):
+                    break
+        if best is None:
+            return None
     dims, idx, a = best
     # ker A is the one candidate of its dimension that annihilates A
     stack = _grassmannian_stack(p, shape[-1], dims[-1])

@@ -79,7 +79,10 @@ def _dense_to_obj(field: PrimeField, arr: np.ndarray) -> dict:
     return {"prime": field.p, "shape": [int(n) for n in arr.shape], "entries": entries}
 
 
-def _dense_from_obj(obj: dict, expect_field: Optional[PrimeField] = None):
+def _dense_from_obj(
+    obj: dict, expect_field: Optional[PrimeField] = None, max_cells: int = MAX_DENSE_CELLS
+):
+    """(field, shape, array) of a dense tensor object, refused above ``max_cells`` cells."""
     _require(isinstance(obj, dict), "tensor object must be a JSON object")
     p = _int_field(obj, "prime")
     try:
@@ -91,6 +94,11 @@ def _dense_from_obj(obj: dict, expect_field: Optional[PrimeField] = None):
     shape = obj.get("shape")
     _require(isinstance(shape, list), "shape must be a list of nonnegative integers")
     shape = check_shape(shape)
+    if math.prod(shape) > max_cells:
+        raise FormatError(
+            f"shape {list(shape)} is over the {max_cells} cells left of the "
+            f"{MAX_DENSE_CELLS} one file may hold"
+        )
     entries = obj.get("entries", [])
     _require(isinstance(entries, list), "entries must be a list")
     arr = np.zeros(shape, dtype=np.int64)
@@ -146,7 +154,11 @@ def decomposition_from_obj(
     field: Optional[PrimeField] = None,
     shape: Optional[Sequence[int]] = None,
 ) -> SliceDecomposition:
-    """Parse a decomposition array; empty arrays need explicit field and shape."""
+    """Parse a decomposition array; empty arrays need explicit field and shape.
+
+    The terms' ``v`` arrays may hold at most ``MAX_DENSE_CELLS`` cells
+    together; a term over what is left is refused before it is built.
+    """
     _require(isinstance(obj, list), "decomposition must be a JSON array")
     if not obj:
         _require(
@@ -156,13 +168,15 @@ def decomposition_from_obj(
         return SliceDecomposition(field, tuple(shape), ())
     terms = []
     inferred_shape = tuple(shape) if shape is not None else None
+    cells_left = MAX_DENSE_CELLS  # across the terms' v arrays, checked before each is built
     for item in obj:
         _require(isinstance(item, dict), "each term must be an object")
         axis1 = _int_field(item, "axis")
         u = item.get("u")
         _require(isinstance(u, list) and all(_is_int(x) for x in u),
                  "term vector u must be a list of integers")
-        v_field, v_shape, v_arr = _dense_from_obj(item.get("v"), expect_field=field)
+        v_field, v_shape, v_arr = _dense_from_obj(item.get("v"), field, cells_left)
+        cells_left -= v_arr.size
         if field is None:
             field = v_field
         axis = axis1 - 1

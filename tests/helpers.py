@@ -8,7 +8,9 @@ the result reuse in ``check_triangular``. The search reference is the
 per-candidate subspace walk over one codimension composition, and the rank
 reference tries every composition of r = 0, 1, 2, ... with it, so the
 certificate it returns is the first in (rank, composition, subspace) order
-by construction; both check the walk of ``slice_rank_exact``.
+by construction; both check the walk of ``slice_rank_exact``. The slice
+rank bound reference enumerates every subspace tuple on the leading axes
+and ranks each contracted slice by its row span.
 """
 
 from itertools import product
@@ -260,3 +262,25 @@ def reference_slice_rank(t: Tensor, budget=None) -> RankResult:
     cert = DualCertificate(subs)
     dec = decomposition_from_certificate(t, cert)
     return RankResult(cert.bound, cert, dec, "dual_search")
+
+
+def reference_slice_rank_bound(data, p):
+    """Least over subspace tuples on axes 0..d-3 of codimension sum + largest slice rank.
+
+    The slices are the n_{d-2} x n_{d-1} matrices of the array the tuple
+    contracts to; every tuple of every dimension is tried.
+    """
+    lead = [
+        [sub for dim in range(n + 1) for sub in grassmannian(p, n, dim)]
+        for n in data.shape[:-2]
+    ]
+    best = None
+    for subs in product(*lead):
+        arr = data
+        for axis, sub in enumerate(subs):
+            arr = mode_product(arr, sub.basis.data, axis, p)
+        slices = arr.reshape(-1, *data.shape[-2:])
+        worst = max((brute_matrix_rank(m, p) for m in slices), default=0)
+        total = sum(sub.codim for sub in subs) + worst
+        best = total if best is None else min(best, total)
+    return best

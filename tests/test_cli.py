@@ -1,10 +1,20 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from helpers import random_decomposition
 from slicerank.cli import main
 from slicerank.serialize import dump_json, tensor_to_obj
-from slicerank import PrimeField, Tensor, levi_civita
+from slicerank import (
+    PrimeField,
+    Tensor,
+    diagonal_tensor,
+    direct_sum,
+    evaluate_decomposition,
+    levi_civita,
+)
 
 GF3 = PrimeField(3)
 
@@ -135,9 +145,13 @@ def test_rank_rejects_malformed_tensor_with_exit_two(tmp_path, capsys, tensor):
         (("demo", "obstruction", "--m", "86"), {}),
         (("normalize-d3", "-i", "{dec}"),
          {"dec": [{"axis": 1, "u": [0] * 17, "v": {"prime": 2, "shape": [1024, 1024], "entries": []}}]}),
+        # each term fits, the two together do not
+        (("normalize-d3", "-i", "{dec}"),
+         {"dec": [{"axis": 1, "u": [0], "v": {"prime": 2, "shape": [4096, 4096], "entries": []}}] * 2}),
     ],
     ids=["additivity-negative-size", "diagonal-seventy-axes", "triangular-seventy-axes",
-         "direct-sum-over-cells", "obstruction-over-cells", "decomposition-over-cells"],
+         "direct-sum-over-cells", "obstruction-over-cells", "decomposition-over-cells",
+         "decomposition-terms-over-cells"],
 )
 def test_shape_flags_no_array_can_take_exit_two(tmp_path, capsys, argv, files):
     paths = {}
@@ -354,3 +368,61 @@ def test_outputs_are_byte_identical(tmp_path, capsys):
     _, add1, _ = run(capsys, "additivity", "--shape", "2,2,2", "--prime", "2", "--trials", "2", "--seed", "3")
     _, add2, _ = run(capsys, "additivity", "--shape", "2,2,2", "--prime", "2", "--trials", "2", "--seed", "3")
     assert add1 == add2
+
+
+def _rank_corpus():
+    """(name, tensor, extra argv) for the pinned rank digest, from one seed."""
+    rng = np.random.default_rng(2718)
+    fields = {p: PrimeField(p) for p in (2, 3, 5)}
+    corpus = []
+
+    def add(name, t, *extra):
+        corpus.append((f"{len(corpus):02d}-{name}", t, extra))
+
+    for p, shape, count in [
+        (2, (4, 4, 4), 4), (3, (4, 4, 4), 2), (5, (3, 3, 3), 3), (2, (3, 3, 3, 3), 3),
+        (3, (2, 3, 4), 3), (3, (2, 2, 2, 2), 2), (2, (5, 5, 3), 1), (5, (2, 2, 3), 1),
+    ]:
+        for _ in range(count):
+            add("dense", Tensor(fields[p], shape, rng.integers(0, p, size=shape)))
+    for p, shape, density in [(2, (4, 4, 4), 0.2), (2, (4, 4, 4), 0.2), (3, (3, 3, 3), 0.3),
+                              (3, (3, 3, 3), 0.3)]:
+        data = rng.integers(0, p, size=shape) * (rng.random(shape) < density)
+        add("sparse", Tensor(fields[p], shape, data))
+    for p, second in [(2, (2, 2, 2)), (2, (2, 2, 2)), (3, (2, 2, 2)), (3, (2, 2, 2)),
+                      (2, (1, 1, 1)), (3, (1, 1, 1))]:
+        parts = [Tensor(fields[p], s, rng.integers(0, p, size=s)) for s in ((2, 2, 2), second)]
+        add("direct-sum", direct_sum(*parts)[0])
+    for p, size, ones, order in [(2, 1, 1, 3), (2, 3, 2, 3), (3, 4, 4, 3), (5, 3, 3, 4)]:
+        add("diagonal", diagonal_tensor(fields[p], size, ones, order))
+    for p in (3, 5):
+        add("levi-civita", levi_civita(fields[p]))
+    for p, shape in [(2, (3, 3, 3)), (2, (3, 3, 3)), (3, (3, 3, 3)), (2, (3, 3, 3, 3))]:
+        dec = random_decomposition(rng, fields[p], shape, max_terms_per_axis=1)
+        add("slice-terms", evaluate_decomposition(dec))
+    i, j, k = np.indices((3, 3, 3))
+    data = rng.integers(1, 3, size=(3, 3, 3)) * ((i <= j) & (j <= k))
+    add("upper-triangular", Tensor(fields[3], (3, 3, 3), data))
+    dense = Tensor(fields[3], (3, 3, 3), rng.integers(0, 3, size=(3, 3, 3)))
+    for budget in ("1", "2", "3"):
+        add("budget", dense, "--budget", budget)
+    return corpus
+
+
+# SHA-256 of the concatenated stdout of `slicerank rank` over _rank_corpus.
+# The same input must give byte-identical output, so a change that only
+# speeds up the search must leave it unchanged
+RANK_CORPUS_SHA256 = "b367f9a020365e6723e011e2998f8abc02fab9277ae8bd77a73c13671b921327"
+
+
+def test_rank_stdout_digest_is_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    corpus = _rank_corpus()
+    assert len(corpus) == 43
+    for name, t, extra in corpus:
+        path = tmp_path / f"{name}.json"
+        dump_json(tensor_to_obj(t), str(path))
+        code, out, err = run(capsys, "rank", "-i", str(path), *extra)
+        assert code in (0, 6) and not err, (name, code, err)
+        digest.update(out.encode())
+    assert digest.hexdigest() == RANK_CORPUS_SHA256

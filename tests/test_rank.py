@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    brute_matrix_rank,
     pairing_zero,
     random_decomposition,
     reference_first_certificate,
     reference_slice_rank,
+    reference_slice_rank_bound,
 )
 from slicerank import (
     DualCertificate,
@@ -36,7 +38,7 @@ from slicerank import (
     slice_rank_exact,
     verify_certificate,
 )
-from slicerank.rank import _canonical_certificate
+from slicerank.rank import _canonical_certificate, _slice_rank_bound
 from slicerank.serialize import rank_result_to_obj
 from slicerank.tensor import mode_product
 
@@ -381,10 +383,11 @@ def test_exhaustive_agreement_with_term_counting_oracle():
         assert slice_rank_exact(t).sigma == expected, bits
 
 
-def test_search_composition_matches_reference_walk():
-    # the walk keeps the reference's first hit in (rank, composition,
-    # subspace) order, for every bound, on dense and sparse arrays of orders
-    # 2-5 and one array with a zero-size axis
+def _reference_walk_arrays():
+    """(p, array) pairs: seeded dense and sparse arrays of orders 2-5, one with
+    a zero-size axis, dense arrays on which the slice rank bound settles
+    sigma, direct sums, and an upper-triangular array.
+    """
     rng = np.random.default_rng(41)
     cases = [
         (2, (2, 3), 1.0), (7, (2, 2), 1.0), (3, (3, 2), 0.3),
@@ -393,11 +396,49 @@ def test_search_composition_matches_reference_walk():
         (2, (2, 1, 2, 2, 2), 1.0), (2, (2, 2, 2, 2, 2), 0.1),
         (3, (2, 0, 2), 1.0),
     ]
+    arrays = []
     for p, shape, density in cases:
-        data = rng.integers(0, p, size=shape) * (rng.random(shape) < density)
-        for bound in range(-1, min(shape) + 1):
+        arrays.append((p, rng.integers(0, p, size=shape) * (rng.random(shape) < density)))
+    for p, shape in [(2, (4, 4, 4)), (3, (4, 4, 4)), (2, (3, 3, 3, 3))]:
+        arrays.append((p, rng.integers(0, p, size=shape)))
+    for p, second in [(2, 2), (3, 2), (2, 1)]:
+        data = np.zeros((2 + second,) * 3, dtype=np.int64)
+        data[:2, :2, :2] = rng.integers(0, p, size=(2, 2, 2))
+        data[2:, 2:, 2:] = rng.integers(1, p, size=(second,) * 3)
+        arrays.append((p, data))
+    i, j, k = np.indices((3, 3, 3))
+    arrays.append((3, rng.integers(1, 3, size=(3, 3, 3)) * ((i <= j) & (j <= k))))
+    return arrays
+
+
+def test_search_composition_matches_reference_walk():
+    # the walk keeps the reference's first hit in (rank, composition,
+    # subspace) order, for every bound
+    for p, data in _reference_walk_arrays():
+        for bound in range(-1, min(data.shape) + 1):
             expected = reference_first_certificate(data, p, bound)
-            assert _canonical_certificate(data, p, bound) == expected, (p, shape, bound)
+            assert _canonical_certificate(data, p, bound) == expected, (p, data.shape, bound)
+
+
+def test_slice_rank_bound_matches_reference_and_stays_below_sigma():
+    # the bound the walk starts from is the enumerated minimum and never
+    # exceeds sigma, on the walk's arrays and on sums of slice terms
+    rng = np.random.default_rng(47)
+    arrays = _reference_walk_arrays()
+    for p, shape in [(2, (3, 3, 3)), (2, (3, 3, 4)), (3, (3, 3, 3)), (5, (3, 3, 3)),
+                     (2, (3, 3, 3, 3))]:
+        for _ in range(3):
+            dec = random_decomposition(rng, PrimeField(p), shape, max_terms_per_axis=1)
+            arrays.append((p, evaluate_decomposition(dec).data))
+    for p, data in arrays:
+        if not data.any():
+            continue
+        slices = data.reshape(-1, *data.shape[-2:])
+        term = max(brute_matrix_rank(m, p) for m in slices)
+        bound = _slice_rank_bound(data, p, term, 0)
+        assert bound == reference_slice_rank_bound(data, p), (p, data.tolist())
+        sigma = reference_slice_rank(Tensor(PrimeField(p), data.shape, data)).sigma
+        assert bound <= sigma, (p, data.tolist())
 
 
 def test_least_rank_matches_reference_search():
@@ -439,20 +480,23 @@ def test_least_rank_matches_reference_search():
 
 
 def test_least_rank_pass_memory_stays_small():
-    # the walk contracts and reduces in bounded blocks: its peak here is
-    # about 0.9 MB, and about 1.9 MB when one block takes everything
+    # the walk contracts and reduces in bounded blocks. On the random tensor
+    # the slice rank bound settles sigma before any walk (peak about 0.2
+    # MB); the diagonal's slices have rank 1, so the walk refutes every
+    # total below 4 itself: about 0.9 MB here, 2.4 MB when one block takes
+    # everything
     import tracemalloc
 
-    t = random_tensor(GF3, (4, 4, 4), np.random.default_rng(61))
-    slice_rank_exact(t)  # fill the subspace caches outside the measurement
-    tracemalloc.start()
-    try:
-        res = slice_rank_exact(t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.sigma == 4
-    assert peak < 1.5 * 2**20, peak
+    for t in (random_tensor(GF3, (4, 4, 4), np.random.default_rng(61)), diagonal_tensor(GF3, 4, 4)):
+        slice_rank_exact(t)  # fill the subspace caches outside the measurement
+        tracemalloc.start()
+        try:
+            res = slice_rank_exact(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.sigma == 4
+        assert peak < 1.5 * 2**20, peak
 
 
 # --- rank invariances ---
