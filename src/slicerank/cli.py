@@ -12,11 +12,16 @@ normalize-d3. All I/O is JSON with 1-based indices. Exit status contract:
 
 Outputs are deterministic: the same inputs, seed, and flags produce
 byte-identical output.
+
+``main(argv)`` may be called any number of times in one process: the
+argument parser is built once, on the first call, and every later call only
+parses its arguments with it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -251,7 +256,12 @@ def cmd_normalize_d3(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and shared by every call of ``main``.
+
+    Every caller gets the same object, so none may modify it; parsing does not.
+    """
     parser = argparse.ArgumentParser(
         prog="slicerank",
         description="Exact slice rank toolkit over prime fields.",

@@ -4,10 +4,11 @@ Tensor files are sparse: {"prime": p, "shape": [n1, ...], "entries":
 [{"index": [...], "value": v}, ...]} with 1-based indices, values in
 [0, p), omitted indices zero, and duplicate indices rejected. Decomposition
 files are arrays of {"axis": 1-based, "u": [...], "v": <tensor object of
-one order lower>}. Certificate files are {"bound": r, "subspaces":
-[{"ambient": n, "basis": [[...], ...]}, ...]} with bases in reduced echelon
-form; anything non-canonical is rejected with a distinct error. Dumps are
-deterministic, so identical inputs serialize byte-identically.
+one order lower>}, with u entries in [0, p). Certificate files are
+{"bound": r, "subspaces": [{"ambient": n, "basis": [[...], ...]}, ...]}
+with bases in reduced echelon form; anything non-canonical is rejected with
+a distinct error. Dumps are deterministic, so identical inputs serialize
+byte-identically.
 """
 
 from __future__ import annotations
@@ -71,11 +72,11 @@ def check_shape(shape: Sequence[int]) -> tuple[int, ...]:
 
 
 def _dense_to_obj(field: PrimeField, arr: np.ndarray) -> dict:
-    entries = []
-    for idx in np.argwhere(arr):
-        entries.append(
-            {"index": [int(i) + 1 for i in idx], "value": int(arr[tuple(idx)])}
-        )
+    idx = np.argwhere(arr)
+    entries = [
+        {"index": index, "value": value}
+        for index, value in zip((idx + 1).tolist(), arr[tuple(idx.T)].tolist())
+    ]
     return {"prime": field.p, "shape": [int(n) for n in arr.shape], "entries": entries}
 
 
@@ -157,7 +158,8 @@ def decomposition_from_obj(
     """Parse a decomposition array; empty arrays need explicit field and shape.
 
     The terms' ``v`` arrays may hold at most ``MAX_DENSE_CELLS`` cells
-    together; a term over what is left is refused before it is built.
+    together; a term over what is left is refused before it is built. Every
+    ``u`` entry must be a residue in [0, p) of the field that ``v`` names.
     """
     _require(isinstance(obj, list), "decomposition must be a JSON array")
     if not obj:
@@ -177,6 +179,8 @@ def decomposition_from_obj(
                  "term vector u must be a list of integers")
         v_field, v_shape, v_arr = _dense_from_obj(item.get("v"), field, cells_left)
         cells_left -= v_arr.size
+        _require(all(0 <= x < v_field.p for x in u),
+                 f"term vector u entries must be residues mod {v_field.p}")
         if field is None:
             field = v_field
         axis = axis1 - 1

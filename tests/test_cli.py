@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import random_decomposition
-from slicerank.cli import main
-from slicerank.serialize import dump_json, tensor_to_obj
+from slicerank.cli import build_parser, main
+from slicerank.serialize import decomposition_to_obj, dump_json, tensor_to_obj
 from slicerank import (
     PrimeField,
     Tensor,
@@ -197,6 +197,22 @@ def test_verify_rejects_boolean_integers_with_exit_two(tmp_path, capsys, flag, o
     assert "integer" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "-i", "{tensor}", "--decomposition", "{dec}"), ("normalize-d3", "-i", "{dec}")],
+    ids=["verify", "normalize-d3"],
+)
+@pytest.mark.parametrize("u", [[10**29, 0], [4, 0]], ids=["beyond-int64", "not-a-residue"])
+def test_decomposition_u_outside_the_field_exits_two(tmp_path, capsys, argv, u):
+    paths = {"tensor": str(tmp_path / "zero.json"), "dec": str(tmp_path / "dec.json")}
+    dump_json(tensor_to_obj(Tensor.zeros(GF3, (2, 2, 2))), paths["tensor"])
+    dump_json([{"axis": 1, "u": u, "v": {"prime": 3, "shape": [2, 2], "entries": []}}], paths["dec"])
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "residues mod 3" in err
+
+
 def test_budget_exit_code(tmp_path, capsys):
     eps_path = write_levi_civita(tmp_path)
     code, out, _ = run(capsys, "rank", "-i", eps_path, "--budget", "2")
@@ -360,6 +376,29 @@ def test_normalize_d3_empty(tmp_path, capsys):
     assert json.loads(out) == {"decomposition": [], "duals": [], "orthogonality_pairs": []}
 
 
+def test_main_reuses_one_parser_across_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    eps_path = write_levi_civita(tmp_path)
+    code, first, _ = run(capsys, "rank", "-i", eps_path)
+    assert code == 0
+    # a flag given to one call does not stay set for the next
+    assert run(capsys, "rank", "-i", eps_path, "--budget", "1")[0] == 6
+    assert run(capsys, "rank", "-i", eps_path) == (0, first, "")
+    # neither does a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["rank"])
+    assert exc.value.code == 2
+    assert "--input" in capsys.readouterr().err
+    assert run(capsys, "rank", "-i", eps_path) == (0, first, "")
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and "usage: slicerank" in helps[0]
+
+
 def test_outputs_are_byte_identical(tmp_path, capsys):
     eps_path = write_levi_civita(tmp_path)
     _, out1, _ = run(capsys, "rank", "-i", eps_path)
@@ -426,3 +465,75 @@ def test_rank_stdout_digest_is_pinned(tmp_path, capsys):
         assert code in (0, 6) and not err, (name, code, err)
         digest.update(out.encode())
     assert digest.hexdigest() == RANK_CORPUS_SHA256
+
+
+def _subcommand_corpus(tmp_path, capsys):
+    """(argv, exit status, stdout) of every run of the pinned subcommand digest.
+
+    The inputs come from one seed. Each direct sum is written from the
+    `direct-sum` stdout, and `split` and `normalize-d3` read the certificate
+    and decomposition that `rank` gives for it.
+    """
+    rng = np.random.default_rng(1618)
+    runs = []
+
+    def call(*argv):
+        code, out, _ = run(capsys, *argv)
+        runs.append((argv, code, out))
+        return out
+
+    def write(name, obj):
+        path = str(tmp_path / f"{name}.json")
+        dump_json(obj, path)
+        return path
+
+    for p in (2, 3, 5):
+        call("demo", "levi-civita", "--prime", str(p))
+    for p, size, ones, order in [(2, 3, 2, 3), (3, 4, 4, 3), (5, 2, 2, 4)]:
+        call("demo", "diagonal", "--prime", str(p), "--size", str(size), "--ones", str(ones),
+             "--order", str(order))
+    for p, m in [(2, 1), (3, 1), (3, 2)]:
+        call("demo", "obstruction", "--prime", str(p), "--m", str(m))
+    for k, (p, left, right) in enumerate([
+        (2, (2, 2, 2), (1, 1, 1)), (3, (2, 2, 2), (2, 2, 2)),
+        (2, (1, 2, 2), (2, 1, 1)), (3, (2, 2, 2), (1, 1, 1)),
+    ]):
+        parts = [
+            write(f"{k}-{side}", tensor_to_obj(Tensor(PrimeField(p), s, rng.integers(0, p, size=s))))
+            for side, s in (("left", left), ("right", right))
+        ]
+        out = call("direct-sum", "--left", parts[0], "--right", parts[1])
+        total = write(f"{k}-sum", json.loads(out)["tensor"])
+        result = json.loads(run(capsys, "rank", "-i", total)[1])
+        cert = write(f"{k}-cert", result["certificate"])
+        blocks = ";".join(f"{a},{b}" for a, b in zip(left, right))
+        call("split", "-i", total, "--certificate", cert, "--blocks", blocks)
+        call("split", "-i", total, "--certificate", cert, "--blocks", blocks,
+             "--distinguished-axis", "3")
+        call("normalize-d3", "-i", write(f"{k}-dec", result["decomposition"]))
+    for k, (p, shape) in enumerate([(2, (2, 3, 2)), (3, (3, 3, 3)), (5, (2, 2, 3))]):
+        dec = random_decomposition(rng, PrimeField(p), shape)
+        call("normalize-d3", "-i", write(f"random-dec-{k}", decomposition_to_obj(dec)))
+    for shape, p, seed in [("2,2,2", 2, 7), ("2,2,2", 3, 11), ("1,2,3", 2, 12)]:
+        call("additivity", "--shape", shape, "--prime", str(p), "--trials", "2", "--seed", str(seed))
+    for blocks, p, seed in [("1,1;1,1;1,1", 3, 13), ("1,2;2,1;1,1", 2, 14),
+                            ("1,1;1,1;1,1;1,1", 2, 15)]:
+        call("triangular", "--blocks", blocks, "--prime", str(p), "--trials", "2", "--seed", str(seed))
+    return runs
+
+
+# SHA-256 of the concatenated stdout of the other subcommands over
+# _subcommand_corpus, pinned like RANK_CORPUS_SHA256 so that a change to
+# output code or to the command line front end must leave every
+# subcommand's output byte-identical
+SUBCOMMAND_CORPUS_SHA256 = "9dce072436cffd19a15c4dffee4abc01c2baff735afae38f92487df65bac8c30"
+
+
+def test_subcommand_stdout_digest_is_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    runs = _subcommand_corpus(tmp_path, capsys)
+    assert len(runs) == 34
+    for argv, code, out in runs:
+        assert code == 0 and out, argv
+        digest.update(out.encode())
+    assert digest.hexdigest() == SUBCOMMAND_CORPUS_SHA256
