@@ -7,14 +7,23 @@ files are arrays of {"axis": 1-based, "u": [...], "v": <tensor object of
 one order lower>}, with u entries in [0, p). Certificate files are
 {"bound": r, "subspaces": [{"ambient": n, "basis": [[...], ...]}, ...]}
 with bases in reduced echelon form; anything non-canonical is rejected with
-a distinct error. Dumps are deterministic, so identical inputs serialize
-byte-identically.
+a distinct error.
+
+Entries, ``u`` vectors and bases are checked in bulk, by type sets and int64
+arrays; only input that fails is walked entry by entry, to name the first
+bad entry in file order. ``load_json`` refuses what is not UTF-8 JSON, nested
+too deep included, and ``dump_json`` an output path it cannot write, both
+with FormatError. Dumps are exactly ``json.dumps(obj, indent=2)`` plus a
+newline, written without json's pure-Python indenting encoder, and
+deterministic, so identical inputs serialize byte-identically.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional, Sequence
 
 import numpy as np
@@ -102,13 +111,59 @@ def _dense_from_obj(
         )
     entries = obj.get("entries", [])
     _require(isinstance(entries, list), "entries must be a list")
-    arr = np.zeros(shape, dtype=np.int64)
+    cells = np.zeros(math.prod(shape), dtype=np.int64)
+    if entries:
+        checked = _entry_arrays(entries, shape, p)
+        if checked is None:
+            _raise_entry_error(entries, shape, p)
+        cells[checked[0]] = checked[1]
+    return field, shape, cells.reshape(shape)
+
+
+def _int64(values) -> Optional[np.ndarray]:
+    """The integers as an int64 array, or None if one of them does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def _entry_arrays(entries: list, shape: tuple, p: int):
+    """(C-order cell numbers, values) of the entries if every entry passes, else None.
+
+    The checks are those of ``_raise_entry_error``, run over all entries at once.
+    """
+    n, d = len(entries), len(shape)
+    if set(map(type, entries)) != {dict}:
+        return None
+    indices = list(map(dict.get, entries, repeat("index")))
+    values = list(map(dict.get, entries, repeat("value")))
+    if set(map(type, indices)) != {list} or set(map(len, indices)) != {d}:
+        return None
+    flat = list(chain.from_iterable(indices))
+    if not set(map(type, flat)) <= {int} or set(map(type, values)) != {int}:
+        return None
+    coords, values = _int64(flat), _int64(values)
+    if coords is None or values is None:
+        return None
+    coords = coords.reshape(n, d) - 1
+    if not (((coords >= 0) & (coords < shape)).all() and ((values >= 0) & (values < p)).all()):
+        return None
+    cells = np.zeros(n, dtype=np.int64)
+    for axis, size in enumerate(shape):
+        cells = cells * size + coords[:, axis]
+    ordered = np.sort(cells)
+    return None if (ordered[1:] == ordered[:-1]).any() else (cells, values)
+
+
+def _raise_entry_error(entries: list, shape: tuple, p: int) -> None:
+    """Raise the error of the first entry in file order that fails a check."""
     seen = set()
     for e in entries:
-        _require(isinstance(e, dict), "each entry must be an object")
+        _require(type(e) is dict, "each entry must be an object")
         index = e.get("index")
         _require(
-            isinstance(index, list) and len(index) == len(shape),
+            type(index) is list and len(index) == len(shape),
             "entry index must list one coordinate per axis",
         )
         idx = []
@@ -123,8 +178,8 @@ def _dense_from_obj(
         value = _int_field(e, "value")
         if not 0 <= value < p:
             raise FormatError(f"value {value} not a residue mod {p}")
-        arr[idx] = value
-    return field, shape, arr
+    # unreachable while both checks agree, which the differential tests pin
+    raise FormatError("tensor entries are invalid")
 
 
 def tensor_to_obj(t: Tensor) -> dict:
@@ -143,7 +198,7 @@ def decomposition_to_obj(dec: SliceDecomposition) -> list:
         out.append(
             {
                 "axis": term.axis + 1,
-                "u": [int(x) for x in term.u],
+                "u": term.u.tolist(),
                 "v": _dense_to_obj(dec.field, term.v),
             }
         )
@@ -175,11 +230,12 @@ def decomposition_from_obj(
         _require(isinstance(item, dict), "each term must be an object")
         axis1 = _int_field(item, "axis")
         u = item.get("u")
-        _require(isinstance(u, list) and all(_is_int(x) for x in u),
+        _require(isinstance(u, list) and set(map(type, u)) <= {int},
                  "term vector u must be a list of integers")
         v_field, v_shape, v_arr = _dense_from_obj(item.get("v"), field, cells_left)
         cells_left -= v_arr.size
-        _require(all(0 <= x < v_field.p for x in u),
+        u_arr = _int64(u)
+        _require(u_arr is not None and ((u_arr >= 0) & (u_arr < v_field.p)).all(),
                  f"term vector u entries must be residues mod {v_field.p}")
         if field is None:
             field = v_field
@@ -193,12 +249,12 @@ def decomposition_from_obj(
             term_shape == inferred_shape,
             f"term implies shape {term_shape}, expected {inferred_shape}",
         )
-        terms.append(SliceTerm(axis, np.array(u, dtype=np.int64), v_arr))
+        terms.append(SliceTerm(axis, u_arr, v_arr))
     return SliceDecomposition(field, inferred_shape, tuple(terms))
 
 
 def subspace_to_obj(s: Subspace) -> dict:
-    return {"ambient": s.ambient_dim, "basis": [[int(x) for x in row] for row in s.basis.data]}
+    return {"ambient": s.ambient_dim, "basis": s.basis.data.tolist()}
 
 
 def subspace_from_obj(obj: dict, field: PrimeField) -> Subspace:
@@ -211,13 +267,17 @@ def subspace_from_obj(obj: dict, field: PrimeField) -> Subspace:
     basis = obj.get("basis")
     _require(
         isinstance(basis, list)
-        and all(isinstance(row, list) and all(_is_int(x) for x in row) for row in basis),
+        and set(map(type, basis)) <= {list}
+        and set(map(type, chain.from_iterable(basis))) <= {int},
         "basis must be a list of integer rows",
     )
-    for row in basis:
-        _require(len(row) == ambient, "basis row length does not match ambient dimension")
-        _require(all(0 <= x < field.p for x in row), "basis entries must be residues")
-    arr = np.array(basis, dtype=np.int64).reshape(len(basis), ambient)
+    arr = _int64(basis) if set(map(len, basis)) <= {ambient} else None
+    if arr is None or not ((arr >= 0) & (arr < field.p)).all():
+        # word the error of the first bad row
+        for row in basis:
+            _require(len(row) == ambient, "basis row length does not match ambient dimension")
+            _require(all(0 <= x < field.p for x in row), "basis entries must be residues")
+    arr = arr.reshape(len(basis), ambient)
     # Subspace construction itself rejects non-reduced bases
     return Subspace(field, ambient, FieldMatrix(field, arr))
 
@@ -255,7 +315,7 @@ def split_trace_to_obj(trace: SplitTrace) -> dict:
     for ax in trace.axes:
         axes.append(
             {
-                "w_vectors": [[int(x) for x in row] for row in ax.w_vectors.data],
+                "w_vectors": ax.w_vectors.data.tolist(),
                 "threshold": ax.threshold,
                 "block1_dual": subspace_to_obj(ax.block1_dual),
                 "block2_dual": subspace_to_obj(ax.block2_dual),
@@ -274,13 +334,82 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad syntax, bad UTF-8, an integer of too many digits, or too deep nesting
         raise FormatError(f"invalid JSON in {path}: {exc}") from None
 
 
+def _encode_rows(rows: list, indent: str) -> Optional[str]:
+    """The dicts of a list at ``indent`` through one ``%`` template, or None.
+
+    Every dict must have the same keys, and each key's values must be ints,
+    or int lists of one length.
+    """
+    if len(set(map(tuple, rows))) != 1 or set(map(type, rows[0])) != {str}:
+        return None
+    inner, item = indent + "  ", indent + "    "
+    parts, columns = [], []
+    for key in rows[0]:
+        values = list(map(dict.get, rows, repeat(key)))
+        kinds = set(map(type, values))
+        if kinds == {int}:
+            parts.append("%d")
+            columns.append(values)
+        elif (kinds == {list} and len(set(map(len, values))) == 1
+              and set(map(type, chain.from_iterable(values))) <= {int}):
+            width = len(values[0])
+            sep = ",\n" + item
+            parts.append(f"[\n{item}{sep.join(['%d'] * width)}\n{inner}]" if width else "[]")
+            columns.extend(zip(*values))
+        else:
+            return None
+    if not columns:
+        return None
+    fields = [_encode_str(k).replace("%", "%%") + ": " + part for k, part in zip(rows[0], parts)]
+    row = "{\n" + inner + (",\n" + inner).join(fields) + "\n" + indent + "}"
+    return (",\n" + indent).join(map(row.__mod__, zip(*columns)))
+
+
+def _encode(o, indent: str) -> str:
+    """``json.dumps(o, indent=2)`` for a value that starts at ``indent``.
+
+    Lists, dicts with string keys, ints, strings, bools and None are written
+    here; json's indenting encoder is pure Python, so only other values
+    (floats, for one) are passed to it.
+    """
+    t = type(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is str:
+        return _encode_str(o)
+    if o is None or t is bool:
+        return "null" if o is None else "true" if o else "false"
+    inner = indent + "  "
+    if t is list:
+        if not o:
+            return "[]"
+        kinds = set(map(type, o))
+        if kinds == {int}:
+            body = (",\n" + inner).join(map(int.__repr__, o))
+        else:
+            body = (kinds == {dict} and _encode_rows(o, inner)
+                    or (",\n" + inner).join([_encode(x, inner) for x in o]))
+        return f"[\n{inner}{body}\n{indent}]"
+    if t is dict and set(map(type, o)) <= {str}:
+        if not o:
+            return "{}"
+        body = (",\n" + inner).join([_encode_str(k) + ": " + _encode(v, inner) for k, v in o.items()])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    return json.dumps(o, indent=2).replace("\n", "\n" + indent)
+
+
 def dump_json(obj, path: Optional[str] = None) -> str:
-    text = json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2)`` and a newline, also written to ``path`` if given."""
+    text = _encode(obj, "") + "\n"
     if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise FormatError(f"cannot write {path}: {exc}") from None
     return text

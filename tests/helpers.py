@@ -10,9 +10,12 @@ reference tries every composition of r = 0, 1, 2, ... with it, so the
 certificate it returns is the first in (rank, composition, subspace) order
 by construction; both check the walk of ``slice_rank_exact``. The slice
 rank bound reference enumerates every subspace tuple on the leading axes
-and ranks each contracted slice by its row span.
+and ranks each contracted slice by its row span. The parse references are
+the per-entry loops the wire-format readers ran before they checked in
+bulk; they share only the field and shape helpers with ``serialize``.
 """
 
+import math
 from itertools import product
 
 import numpy as np
@@ -32,7 +35,15 @@ from slicerank import (
 )
 from slicerank.linalg import grassmannian
 from slicerank.rank import RankResult
-from slicerank.serialize import certificate_to_obj
+from slicerank.errors import FormatError
+from slicerank.serialize import (
+    MAX_DENSE_CELLS,
+    _int_field,
+    _is_int,
+    _require,
+    certificate_to_obj,
+    check_shape,
+)
 from slicerank.tensor import mode_product
 
 
@@ -284,3 +295,107 @@ def reference_slice_rank_bound(data, p):
         total = sum(sub.codim for sub in subs) + worst
         best = total if best is None else min(best, total)
     return best
+
+
+def reference_dense_from_obj(obj, expect_field=None, max_cells=MAX_DENSE_CELLS):
+    """(field, shape, array) of a dense tensor object, checked entry by entry."""
+    _require(isinstance(obj, dict), "tensor object must be a JSON object")
+    p = _int_field(obj, "prime")
+    try:
+        field = PrimeField(p)
+    except Exception as exc:
+        raise FormatError(f"invalid prime {p}: {exc}") from None
+    if expect_field is not None and field != expect_field:
+        raise FormatError(f"prime {p} does not match the surrounding context")
+    shape = obj.get("shape")
+    _require(isinstance(shape, list), "shape must be a list of nonnegative integers")
+    shape = check_shape(shape)
+    if math.prod(shape) > max_cells:
+        raise FormatError(
+            f"shape {list(shape)} is over the {max_cells} cells left of the "
+            f"{MAX_DENSE_CELLS} one file may hold"
+        )
+    entries = obj.get("entries", [])
+    _require(isinstance(entries, list), "entries must be a list")
+    arr = np.zeros(shape, dtype=np.int64)
+    seen = set()
+    for e in entries:
+        _require(isinstance(e, dict), "each entry must be an object")
+        index = e.get("index")
+        _require(
+            isinstance(index, list) and len(index) == len(shape),
+            "entry index must list one coordinate per axis",
+        )
+        idx = []
+        for axis, i in enumerate(index):
+            if not (_is_int(i) and 1 <= i <= shape[axis]):
+                raise FormatError(f"index {i} out of range on axis {axis + 1}")
+            idx.append(i - 1)
+        idx = tuple(idx)
+        if idx in seen:
+            raise FormatError(f"duplicate index {index}")
+        seen.add(idx)
+        value = _int_field(e, "value")
+        if not 0 <= value < p:
+            raise FormatError(f"value {value} not a residue mod {p}")
+        arr[idx] = value
+    return field, shape, arr
+
+
+def reference_decomposition_from_obj(obj, field=None, shape=None) -> SliceDecomposition:
+    """A decomposition array parsed term by term, its ``u`` entries checked one by one."""
+    _require(isinstance(obj, list), "decomposition must be a JSON array")
+    if not obj:
+        _require(
+            field is not None and shape is not None,
+            "empty decomposition needs a field and shape from context",
+        )
+        return SliceDecomposition(field, tuple(shape), ())
+    terms = []
+    inferred_shape = tuple(shape) if shape is not None else None
+    cells_left = MAX_DENSE_CELLS
+    for item in obj:
+        _require(isinstance(item, dict), "each term must be an object")
+        axis1 = _int_field(item, "axis")
+        u = item.get("u")
+        _require(isinstance(u, list) and all(_is_int(x) for x in u),
+                 "term vector u must be a list of integers")
+        v_field, v_shape, v_arr = reference_dense_from_obj(item.get("v"), field, cells_left)
+        cells_left -= v_arr.size
+        _require(all(0 <= x < v_field.p for x in u),
+                 f"term vector u entries must be residues mod {v_field.p}")
+        if field is None:
+            field = v_field
+        axis = axis1 - 1
+        d = len(v_shape) + 1
+        _require(1 <= axis1 <= d, f"axis {axis1} out of range for order {d}")
+        term_shape = v_shape[:axis] + (len(u),) + v_shape[axis:]
+        if inferred_shape is None:
+            inferred_shape = check_shape(term_shape)
+        _require(
+            term_shape == inferred_shape,
+            f"term implies shape {term_shape}, expected {inferred_shape}",
+        )
+        terms.append(SliceTerm(axis, np.array(u, dtype=np.int64), v_arr))
+    return SliceDecomposition(field, inferred_shape, tuple(terms))
+
+
+def reference_subspace_from_obj(obj, field: PrimeField) -> Subspace:
+    """A certificate subspace whose basis rows are checked one by one."""
+    _require(isinstance(obj, dict), "subspace must be a JSON object")
+    ambient = _int_field(obj, "ambient")
+    _require(
+        0 <= ambient <= MAX_DENSE_CELLS,
+        f"ambient dimension {ambient} is outside the range 0..{MAX_DENSE_CELLS}",
+    )
+    basis = obj.get("basis")
+    _require(
+        isinstance(basis, list)
+        and all(isinstance(row, list) and all(_is_int(x) for x in row) for row in basis),
+        "basis must be a list of integer rows",
+    )
+    for row in basis:
+        _require(len(row) == ambient, "basis row length does not match ambient dimension")
+        _require(all(0 <= x < field.p for x in row), "basis entries must be residues")
+    arr = np.array(basis, dtype=np.int64).reshape(len(basis), ambient)
+    return Subspace(field, ambient, FieldMatrix(field, arr))

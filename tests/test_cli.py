@@ -111,6 +111,42 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [("rank", "-i", "{bad}"),
+                                  ("verify", "-i", "{tensor}", "--certificate", "{bad}")],
+                         ids=["rank", "verify"])
+@pytest.mark.parametrize(
+    "content",
+    [b'{"prime": 3, "shape": [2, 2], "entries": [], "note": "\xff"}',
+     b"[" * 200000 + b"]" * 200000,
+     b"1" * 5000],
+    ids=["invalid-utf8", "nested-too-deep", "integer-of-5000-digits"],
+)
+def test_hostile_json_files_exit_two(tmp_path, capsys, argv, content):
+    paths = {"bad": str(tmp_path / "bad.json"), "tensor": write_levi_civita(tmp_path)}
+    (tmp_path / "bad.json").write_bytes(content)
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: invalid JSON in {paths['bad']}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("rank", "-i", "{tensor}"),
+     ("direct-sum", "--left", "{tensor}", "--right", "{tensor}"),
+     ("demo", "levi-civita", "--prime", "3")],
+    ids=["rank", "direct-sum", "demo"],
+)
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_output_exits_two(tmp_path, capsys, argv, target):
+    output = str(tmp_path if target == "directory" else tmp_path / "missing" / "out.json")
+    paths = {"tensor": write_levi_civita(tmp_path)}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv), "-o", output)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {output}: ")
+
+
 @pytest.mark.parametrize(
     "tensor",
     [

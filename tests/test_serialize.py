@@ -2,22 +2,34 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_decomposition
+from helpers import (
+    random_decomposition,
+    reference_decomposition_from_obj,
+    reference_dense_from_obj,
+    reference_subspace_from_obj,
+)
 from slicerank import (
     DualCertificate,
     FormatError,
     NonCanonicalBasisError,
     PrimeField,
+    SliceRankError,
     Subspace,
     Tensor,
+    diagonal_tensor,
+    direct_sum,
     evaluate_decomposition,
     levi_civita,
     levi_civita_decomposition,
     random_tensor,
     slice_rank_exact,
 )
+from slicerank.cli import main
 from slicerank.serialize import (
+    _dense_from_obj,
     certificate_from_obj,
     certificate_to_obj,
     decomposition_from_obj,
@@ -25,6 +37,7 @@ from slicerank.serialize import (
     dump_json,
     rank_result_to_obj,
     split_trace_to_obj,
+    subspace_from_obj,
     tensor_from_obj,
     tensor_to_obj,
 )
@@ -198,3 +211,232 @@ def test_random_decompositions_survive_round_trip():
         dec = random_decomposition(rng, field, shape)
         back = decomposition_from_obj(decomposition_to_obj(dec), field=field, shape=shape)
         assert evaluate_decomposition(back) == evaluate_decomposition(dec)
+
+
+def _outcome(parse, *args):
+    """What a parse returns, or the type and message of the error it raises."""
+    try:
+        return "ok", parse(*args)
+    except SliceRankError as exc:
+        return type(exc), str(exc)
+
+
+def _same_dense(obj):
+    shipped, reference = _outcome(_dense_from_obj, obj), _outcome(reference_dense_from_obj, obj)
+    if reference[0] == "ok":
+        assert shipped[0] == "ok"
+        (field, shape, arr), (ref_field, ref_shape, ref_arr) = shipped[1], reference[1]
+        assert (field, shape, arr.shape, arr.dtype) == (ref_field, ref_shape, ref_arr.shape, ref_arr.dtype)
+        assert np.array_equal(arr, ref_arr)
+    else:
+        assert shipped == reference
+
+
+def _entries(*entries):
+    return {"prime": 3, "shape": [2, 3], "entries": list(entries)}
+
+
+GOOD = {"index": [2, 3], "value": 2}
+
+HOSTILE_TENSORS = {
+    "bool-coordinate": _entries({"index": [True, 1], "value": 1}),
+    "bool-value": _entries({"index": [1, 1], "value": True}),
+    "float-coordinate": _entries({"index": [1.0, 1], "value": 1}),
+    "float-value": _entries({"index": [1, 1], "value": 1.0}),
+    "string-coordinate": _entries({"index": ["1", 1], "value": 1}),
+    "string-value": _entries({"index": [1, 1], "value": "1"}),
+    "index-not-a-list": _entries({"index": 4, "value": 1}),
+    "index-an-object": _entries({"index": {"1": 1}, "value": 1}),
+    "index-too-short": _entries({"index": [1], "value": 1}),
+    "index-too-long": _entries({"index": [1, 1, 1], "value": 1}),
+    "coordinate-zero": _entries({"index": [0, 1], "value": 1}),
+    "coordinate-past-axis": _entries({"index": [1, 4], "value": 1}),
+    "coordinate-past-int64": _entries({"index": [2**63, 1], "value": 1}),
+    "coordinate-below-int64": _entries({"index": [1, -(2**63) - 1], "value": 1}),
+    "value-past-int64": _entries({"index": [1, 1], "value": 2**64 + 1}),
+    "value-below-int64": _entries({"index": [1, 1], "value": -(2**70)}),
+    "duplicate": _entries({"index": [1, 2], "value": 1}, GOOD, {"index": [1, 2], "value": 2}),
+    "missing-value": _entries({"index": [1, 1]}),
+    "value-null": _entries({"index": [1, 1], "value": None}),
+    "value-is-p": _entries({"index": [1, 1], "value": 3}),
+    "value-negative": _entries({"index": [1, 1], "value": -1}),
+    "entry-not-an-object": _entries(GOOD, [1, 1]),
+    "entry-null": _entries(None),
+    "entries-absent": {"prime": 3, "shape": [2, 3]},
+    "entries-empty": _entries(),
+    "entries-an-object": {"prime": 3, "shape": [2, 3], "entries": {}},
+    "zero-size-axis-empty": {"prime": 2, "shape": [2, 0], "entries": []},
+    "zero-size-axis-entry": {"prime": 2, "shape": [2, 0], "entries": [{"index": [1, 1], "value": 1}]},
+    "order-zero": {"prime": 2, "shape": [], "entries": [{"index": [], "value": 1}]},
+    "order-zero-duplicate": {"prime": 2, "shape": [], "entries": [{"index": [], "value": 1}] * 2},
+    # the first bad entry in file order is the one reported
+    "bad-value-before-bad-index": _entries(GOOD, {"index": [1, 1], "value": 5}, {"index": [9, 1], "value": 1}),
+    "bad-index-before-duplicate": _entries(GOOD, {"index": [0, 1], "value": 1}, GOOD),
+    "duplicate-before-bad-value": _entries(GOOD, {"index": [2, 3], "value": 7}),
+    "two-faults-in-one-entry": _entries({"index": [1, 9], "value": 9}),
+    "valid": _entries(GOOD, {"index": [1, 1], "value": 0}, {"index": [2, 1], "value": 1}),
+}
+
+
+@pytest.mark.parametrize("obj", HOSTILE_TENSORS.values(), ids=HOSTILE_TENSORS.keys())
+def test_dense_parse_matches_per_entry_reference_on_hostile_entries(obj):
+    _same_dense(obj)
+
+
+HOSTILE_VALUES = [True, 1.0, "1", None, -1, 2**63, [1], {}]
+
+
+@st.composite
+def sparse_tensor_objects(draw):
+    """Valid sparse tensor objects of orders 2-5, sometimes with one hostile field."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    shape = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    cells = draw(st.lists(st.tuples(*[st.integers(1, n) for n in shape]), unique=True, max_size=20))
+    entries = [{"index": list(c), "value": draw(st.integers(0, p - 1))} for c in cells]
+    if entries and draw(st.booleans()):
+        entry = entries[draw(st.integers(0, len(entries) - 1))]
+        bad = draw(st.sampled_from(HOSTILE_VALUES + [0, p, shape[0] + 1]))
+        if draw(st.booleans()):
+            entry["value"] = bad
+        else:
+            entry["index"][draw(st.integers(0, len(shape) - 1))] = bad
+    if entries and draw(st.booleans()):
+        entries.append(dict(entries[draw(st.integers(0, len(entries) - 1))]))
+    return {"prime": p, "shape": shape, "entries": entries}
+
+
+@settings(max_examples=200)
+@given(sparse_tensor_objects())
+def test_dense_parse_matches_per_entry_reference_on_random_tensors(obj):
+    _same_dense(obj)
+
+
+def _term(u, p=3, axis=1):
+    return {"axis": axis, "u": u, "v": {"prime": p, "shape": [2, 2], "entries": [{"index": [1, 2], "value": 1}]}}
+
+
+HOSTILE_DECOMPOSITIONS = {
+    "valid": [_term([1, 2]), _term([0, 0], axis=2)],
+    "u-bool": [_term([True, 0])],
+    "u-float": [_term([1.0, 0])],
+    "u-string": [_term(["1", 0])],
+    "u-null": [_term([None, 0])],
+    "u-not-a-list": [_term(1)],
+    "u-absent": [{"axis": 1, "v": _term([])["v"]}],
+    "u-negative": [_term([-1, 0])],
+    "u-is-p": [_term([3, 0])],
+    "u-past-int64": [_term([2**63, 0])],
+    "u-below-int64": [_term([-(2**64), 0])],
+    "u-empty": [_term([])],
+    "u-fine-then-bad-v": [{"axis": 1, "u": [1, 2], "v": _entries({"index": [1, 1], "value": 9})}],
+    "second-term-bad-u": [_term([1, 2]), _term([1, 5])],
+    "u-residue-of-other-prime": [_term([4, 0], p=5), _term([4, 0], p=3)],
+}
+
+
+@pytest.mark.parametrize("obj", HOSTILE_DECOMPOSITIONS.values(), ids=HOSTILE_DECOMPOSITIONS.keys())
+def test_decomposition_parse_matches_per_entry_reference(obj):
+    shipped = _outcome(decomposition_from_obj, obj)
+    reference = _outcome(reference_decomposition_from_obj, obj)
+    if reference[0] != "ok":
+        assert shipped == reference
+        return
+    dec, ref = shipped[1], reference[1]
+    assert (dec.field, dec.shape, len(dec.terms)) == (ref.field, ref.shape, len(ref.terms))
+    for term, ref_term in zip(dec.terms, ref.terms):
+        assert term.axis == ref_term.axis
+        assert term.u.dtype == ref_term.u.dtype and np.array_equal(term.u, ref_term.u)
+        assert np.array_equal(term.v, ref_term.v)
+
+
+HOSTILE_BASES = {
+    "valid": [[1, 0, 2], [0, 1, 1]],
+    "empty": [],
+    "basis-not-a-list": 5,
+    "row-not-a-list": [[1, 0, 0], 7],
+    "bool-entry": [[True, 0, 0]],
+    "float-entry": [[1.0, 0, 0]],
+    "row-too-short": [[1, 0]],
+    "ragged": [[1, 0, 0], [0, 1]],
+    "entry-is-p": [[1, 0, 3]],
+    "entry-negative": [[1, 0, -1]],
+    "entry-past-int64": [[1, 0, 2**63]],
+    # the first bad row in file order is the one reported
+    "bad-residue-before-bad-length": [[1, 0, 5], [0, 1]],
+    "bad-length-before-bad-residue": [[1, 0], [0, 1, 5]],
+    "not-reduced": [[1, 1, 0], [0, 1, 0]],
+}
+
+
+@pytest.mark.parametrize("ambient", [3, 0])
+@pytest.mark.parametrize("basis", HOSTILE_BASES.values(), ids=HOSTILE_BASES.keys())
+def test_subspace_parse_matches_per_row_reference(basis, ambient):
+    obj = {"ambient": ambient, "basis": basis}
+    assert _outcome(subspace_from_obj, obj, GF3) == _outcome(reference_subspace_from_obj, obj, GF3)
+
+
+JSON_STRINGS = st.text(max_size=6) | st.sampled_from(['"', "%", "%d", "%%s", "\\", "é", "\x00\n\t\x7f", " "])
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-(2**100), 2**100)
+                | st.floats() | JSON_STRINGS)
+
+
+@st.composite
+def same_keyed_rows(draw, children):
+    """Dicts with one key list, each key's values ints or int lists of one length, now and then not."""
+    keys = draw(st.lists(JSON_STRINGS, unique=True, max_size=3))
+    widths = {k: draw(st.none() | st.integers(0, 3)) for k in keys}
+    ints = st.integers(-(2**70), 2**70)
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = {k: draw(ints if w is None else st.lists(ints, min_size=w, max_size=w))
+               for k, w in widths.items()}
+        if keys and draw(st.integers(0, 9)) == 0:
+            row[draw(st.sampled_from(keys))] = draw(children)
+        rows.append(row)
+    return rows
+
+
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(st.integers(-(2**70), 2**70), max_size=4)
+                      | st.dictionaries(JSON_STRINGS, children, max_size=4)
+                      | st.lists(st.dictionaries(st.sampled_from("ab%"), children, max_size=2), max_size=3)
+                      | same_keyed_rows(children)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200)
+@given(JSON_VALUES)
+def test_dump_json_matches_json_dumps_indent_two(obj):
+    assert dump_json(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_dump_json_bypasses_the_python_encoder(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was called")
+
+    eps = tmp_path / "eps.json"
+    zero = tmp_path / "zero.json"
+    total, blocks = direct_sum(levi_civita(GF3), diagonal_tensor(GF3, 1, 1))
+    paths = {"eps": str(eps), "zero": str(zero), "sum": str(tmp_path / "sum.json"),
+             "cert": str(tmp_path / "cert.json"), "dec": str(tmp_path / "dec.json")}
+    eps.write_text(json.dumps(tensor_to_obj(levi_civita(GF3))))
+    zero.write_text(json.dumps(tensor_to_obj(Tensor.zeros(GF3, (2, 2, 2)))))
+    (tmp_path / "sum.json").write_text(json.dumps(tensor_to_obj(total)))
+    result = rank_result_to_obj(slice_rank_exact(total))
+    (tmp_path / "cert.json").write_text(json.dumps(result["certificate"]))
+    (tmp_path / "dec.json").write_text(json.dumps(result["decomposition"]))
+    blocks_flag = ";".join(",".join(map(str, sizes)) for sizes in blocks.sizes)
+    runs = [("rank", "-i", "{eps}"), ("rank", "-i", "{zero}"), ("rank", "-i", "{sum}"),
+            ("split", "-i", "{sum}", "--certificate", "{cert}", "--blocks", blocks_flag),
+            ("normalize-d3", "-i", "{dec}")]
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    outputs = []
+    for argv in runs:
+        assert main([arg.format(**paths) for arg in argv]) == 0
+        outputs.append(capsys.readouterr().out)
+    monkeypatch.undo()
+    for out in outputs:
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
