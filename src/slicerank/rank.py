@@ -30,8 +30,17 @@ computed only when the raw slices reach the limit, which an input shows
 before any search. When the last-axis flattening rank, the total of the
 walk's first prefix tuple, meets the lower bound, that tuple is the
 certificate and the walk is skipped; otherwise the walk ends at its first
-total that meets it. Expanding T in a basis adapted to the certificate
-turns it back into a decomposition with exactly sigma terms.
+total that meets it.
+
+The certificate becomes a decomposition with exactly sigma terms by
+telescoping one projection per axis. A reduced echelon basis completed by
+unit rows at its free columns has an inverse read off the basis itself,
+so no elimination runs. Each axis splits off one term per free column
+and projects the array onto the basis rows, placed at their pivots;
+after the last axis what remains is T contracted by every certificate
+basis, embedded injectively. The certificate annihilates T exactly when
+that remainder is zero, so checking it is the verification, at no cost
+beyond the d projections.
 
 Everything is deterministic: identical inputs give identical certificates,
 decompositions, and byte-identical serialized output.
@@ -51,10 +60,8 @@ from .linalg import (
     FieldMatrix,
     Subspace,
     annihilator,
-    complete_basis,
     count_subspaces,
     grassmannian,
-    invert_matrix,
     _row_reduce,
 )
 from .tensor import (
@@ -477,48 +484,34 @@ def certificate_from_decomposition(dec: SliceDecomposition) -> DualCertificate:
 def decomposition_from_certificate(t: Tensor, c: DualCertificate) -> SliceDecomposition:
     """Rebuild a decomposition with exactly bound(c) terms from a certificate.
 
-    For each axis, the certificate basis is completed to a basis of the
-    dual space and T is expanded in the corresponding product basis. The
-    annihilation condition forces every surviving component to use a
-    completion direction on some axis; each component is assigned to the
-    lowest such axis, giving one term per (axis, completion direction).
-    Terms with zero cotensors are kept so the term count always equals the
-    certificate bound.
+    The projections telescope, one per axis, as in ``normalize``. On an
+    axis, let R be the certificate basis, in reduced echelon form with
+    pivot columns P, and proj the n x n matrix with R's rows at P and zero
+    rows elsewhere. I - proj is zero at the columns P and holds u_f = e_f -
+    sum_i R[i, f] e_P[i] at each free column f, so an array is the sum over
+    f of u_f x (its slice at f) plus its image under proj. With arr
+    starting as T, each axis gives one term per free column, in index
+    order, and then replaces arr by its image under proj. After the last
+    axis arr is T contracted by every certificate basis, with rows placed
+    at the pivots, which loses nothing: the terms sum to T, and the
+    certificate verifies, exactly when arr is zero; otherwise this raises
+    VerificationError. Terms with zero cotensors are kept so the term
+    count always equals the certificate bound.
     """
-    if not verify_certificate(t, c):
-        raise VerificationError("certificate does not verify against the tensor")
+    _check_match(t, c)
     p = t.field.p
-    d = t.order
-    bases = []      # full dual bases, certificate rows first
-    primal = []     # matching primal bases: columns of the inverse
-    dims = []       # certificate subspace dimensions
-    for sub in c.subspaces:
-        b = complete_basis(sub)
-        bases.append(b.data)
-        primal.append(invert_matrix(b).data)
-        dims.append(sub.dim)
-
-    lam = t.data
-    for axis in range(d):
-        lam = mode_product(lam, bases[axis], axis, p)
-
+    arr = t.data
     terms = []
-    for axis in range(d):
-        n = t.shape[axis]
-        for col in range(dims[axis], n):
-            selector: list = [slice(None)] * d
-            for j in range(axis):
-                selector[j] = slice(0, dims[j])
-            selector[axis] = col
-            group = lam[tuple(selector)]
-            # back to primal coordinates on every remaining axis
-            rest_axes = [j for j in range(d) if j != axis]
-            out = group
-            for pos, j in enumerate(rest_axes):
-                mat = primal[j][:, : dims[j]] if j < axis else primal[j]
-                out = mode_product(out, mat, pos, p)
-            u = primal[axis][:, col].copy()
-            terms.append(SliceTerm(axis, u, out))
+    for axis, sub in enumerate(c.subspaces):
+        rows, n = sub.basis.data, sub.ambient_dim
+        proj = np.zeros((n, n), dtype=np.int64)
+        proj[[int(np.flatnonzero(row)[0]) for row in rows]] = rows
+        comp = (np.eye(n, dtype=np.int64) - proj) % p
+        for f in np.flatnonzero(comp.any(axis=0)):
+            terms.append(SliceTerm(axis, comp[:, f], np.take(arr, f, axis)))
+        arr = mode_product(arr, proj, axis, p)
+    if arr.any():
+        raise VerificationError("certificate does not verify against the tensor")
     return SliceDecomposition(t.field, t.shape, tuple(terms))
 
 
@@ -568,6 +561,10 @@ def min_slice_cover(t: Tensor) -> CoverResult:
     point_slices = [
         [i for i, m in enumerate(masks) if (m >> k) & 1] for k in range(len(points))
     ]
+    # every slice through an uncovered point still gains it, so the point
+    # to branch on, the uncovered one with the fewest slices (the first of
+    # them), is the first uncovered one in this order
+    branch_order = sorted(range(len(points)), key=lambda k: len(point_slices[k]))
 
     def dfs(covered: int, chosen: list[int]) -> None:
         nonlocal best, best_size
@@ -576,24 +573,12 @@ def min_slice_cover(t: Tensor) -> CoverResult:
                 best = list(chosen)
                 best_size = len(chosen)
             return
-        remaining = (universe & ~covered).bit_count()
-        max_gain = max((m & ~covered).bit_count() for m in masks)
-        if len(chosen) + -(-remaining // max_gain) >= best_size:
-            return
-        # branch on the uncovered point with the fewest covering slices
-        pick_point = -1
-        pick_count = None
         rem = universe & ~covered
-        while rem:
-            k = (rem & -rem).bit_length() - 1
-            cnt = sum(1 for i in point_slices[k] if masks[i] & ~covered)
-            if pick_count is None or cnt < pick_count:
-                pick_count, pick_point = cnt, k
-            rem &= rem - 1
-        options = sorted(
-            (i for i in point_slices[pick_point]),
-            key=lambda i: (-(masks[i] & ~covered).bit_count(), slices[i]),
-        )
+        gains = [(m & rem).bit_count() for m in masks]  # new points per slice
+        if len(chosen) + -(-rem.bit_count() // max(gains)) >= best_size:
+            return
+        pick_point = next(k for k in branch_order if (rem >> k) & 1)
+        options = sorted(point_slices[pick_point], key=lambda i: (-gains[i], slices[i]))
         for i in options:
             chosen.append(i)
             dfs(covered | masks[i], chosen)

@@ -3,16 +3,20 @@
 The oracles enumerate: row spaces as frozensets of vector tuples, kernels by
 trying every vector, and pairings by explicit loops. They never call the
 code paths they are used to check. The triangular reference is the plain
-fold-chain walk that searches every component from scratch, kept to check
-the result reuse in ``check_triangular``. The search reference is the
-per-candidate subspace walk over one codimension composition, and the rank
-reference tries every composition of r = 0, 1, 2, ... with it, so the
-certificate it returns is the first in (rank, composition, subspace) order
-by construction; both check the walk of ``slice_rank_exact``. The slice
-rank bound reference enumerates every subspace tuple on the leading axes
-and ranks each contracted slice by its row span. The parse references are
-the per-entry loops the wire-format readers ran before they checked in
-bulk; they share only the field and shape helpers with ``serialize``.
+fold-chain walk that searches every component from scratch. The search
+reference is the per-candidate subspace walk over one codimension
+composition, and the rank reference tries every composition of r = 0, 1, 2,
+... with it, so the certificate it returns is the first in (rank,
+composition, subspace) order by construction; both check the walk of
+``slice_rank_exact``. The witness reference is the expansion
+``decomposition_from_certificate`` ran before it telescoped: it verifies the
+certificate first, completes each basis and inverts it by elimination, and
+expands T in the product basis, so the rank reference builds its
+decomposition without the shipped expansion. The slice rank bound reference
+enumerates every subspace tuple on the leading axes and ranks each
+contracted slice by its row span. The parse references are the per-entry
+loops the wire-format readers ran before they checked in bulk; they share
+only the field and shape helpers with ``serialize``.
 """
 
 import math
@@ -30,12 +34,14 @@ from slicerank import (
     Subspace,
     Tensor,
     block_component,
-    decomposition_from_certificate,
+    complete_basis,
+    invert_matrix,
     slice_rank_exact,
+    verify_certificate,
 )
 from slicerank.linalg import grassmannian
 from slicerank.rank import RankResult
-from slicerank.errors import FormatError
+from slicerank.errors import FormatError, VerificationError
 from slicerank.serialize import (
     MAX_DENSE_CELLS,
     _int_field,
@@ -271,8 +277,56 @@ def reference_slice_rank(t: Tensor, budget=None) -> RankResult:
         grassmannian(p, t.shape[axis], dims[axis])[i] for axis, i in enumerate(idx)
     )
     cert = DualCertificate(subs)
-    dec = decomposition_from_certificate(t, cert)
+    dec = reference_decomposition_from_certificate(t, cert)
     return RankResult(cert.bound, cert, dec, "dual_search")
+
+
+def reference_decomposition_from_certificate(t: Tensor, c: DualCertificate) -> SliceDecomposition:
+    """Rebuild a decomposition with exactly bound(c) terms from a certificate.
+
+    For each axis, the certificate basis is completed to a basis of the
+    dual space and T is expanded in the corresponding product basis. The
+    annihilation condition forces every surviving component to use a
+    completion direction on some axis; each component is assigned to the
+    lowest such axis, giving one term per (axis, completion direction).
+    Terms with zero cotensors are kept so the term count always equals the
+    certificate bound.
+    """
+    if not verify_certificate(t, c):
+        raise VerificationError("certificate does not verify against the tensor")
+    p = t.field.p
+    d = t.order
+    bases = []      # full dual bases, certificate rows first
+    primal = []     # matching primal bases: columns of the inverse
+    dims = []       # certificate subspace dimensions
+    for sub in c.subspaces:
+        b = complete_basis(sub)
+        bases.append(b.data)
+        primal.append(invert_matrix(b).data)
+        dims.append(sub.dim)
+
+    lam = t.data
+    for axis in range(d):
+        lam = mode_product(lam, bases[axis], axis, p)
+
+    terms = []
+    for axis in range(d):
+        n = t.shape[axis]
+        for col in range(dims[axis], n):
+            selector: list = [slice(None)] * d
+            for j in range(axis):
+                selector[j] = slice(0, dims[j])
+            selector[axis] = col
+            group = lam[tuple(selector)]
+            # back to primal coordinates on every remaining axis
+            rest_axes = [j for j in range(d) if j != axis]
+            out = group
+            for pos, j in enumerate(rest_axes):
+                mat = primal[j][:, : dims[j]] if j < axis else primal[j]
+                out = mode_product(out, mat, pos, p)
+            u = primal[axis][:, col].copy()
+            terms.append(SliceTerm(axis, u, out))
+    return SliceDecomposition(t.field, t.shape, tuple(terms))
 
 
 def reference_slice_rank_bound(data, p):

@@ -249,6 +249,17 @@ def test_decomposition_u_outside_the_field_exits_two(tmp_path, capsys, argv, u):
     assert "error:" in err and "residues mod 3" in err
 
 
+def test_verify_decomposition_of_another_shape_exits_two(tmp_path, capsys):
+    tensor_path = str(tmp_path / "eps.json")
+    dump_json(tensor_to_obj(levi_civita(GF3)), tensor_path)
+    dec_path = str(tmp_path / "dec.json")
+    dump_json([{"axis": 1, "u": [1, 2], "v": {"prime": 3, "shape": [2, 2], "entries": []}}],
+              dec_path)
+    code, out, err = run(capsys, "verify", "-i", tensor_path, "--decomposition", dec_path)
+    assert (code, out) == (2, "")
+    assert "error:" in err and "term implies shape (2, 2, 2), expected (3, 3, 3)" in err
+
+
 def test_budget_exit_code(tmp_path, capsys):
     eps_path = write_levi_civita(tmp_path)
     code, out, _ = run(capsys, "rank", "-i", eps_path, "--budget", "2")
@@ -573,3 +584,43 @@ def test_subcommand_stdout_digest_is_pinned(tmp_path, capsys):
         assert code == 0 and out, argv
         digest.update(out.encode())
     assert digest.hexdigest() == SUBCOMMAND_CORPUS_SHA256
+
+
+def _cover_corpus():
+    """(name, tensor) for the pinned `rank --method cover` digest, from one seed."""
+    rng = np.random.default_rng(4142)
+    corpus = []
+    for n, p, points in [(10, 5, 20), (12, 7, 22), (14, 2, 21), (11, 5, 22), (13, 7, 20),
+                         (14, 2, 22)]:
+        data = np.zeros((n, n, n), dtype=np.int64)
+        data.reshape(-1)[rng.choice(n ** 3, size=points, replace=False)] = rng.integers(
+            1, p, size=points)
+        corpus.append((f"{len(corpus):02d}-sparse", Tensor(PrimeField(p), (n, n, n), data)))
+    # a chain of comparable points next to an incomparable pair: not an antichain
+    chain = np.zeros((4, 4, 4), dtype=np.int64)
+    for idx in [(0, 0, 0), (1, 1, 1), (2, 2, 3), (0, 3, 1), (3, 0, 2)]:
+        chain[idx] = 2
+    corpus.append(("chain", Tensor(GF3, (4, 4, 4), chain)))
+    for p in (3, 5):
+        corpus.append((f"levi-civita-{p}", levi_civita(PrimeField(p))))
+    corpus.append(("zero", Tensor.zeros(PrimeField(2), (3, 3, 3))))
+    return corpus
+
+
+# SHA-256 of the concatenated stdout of `slicerank rank --method cover` over
+# _cover_corpus; neither digest above runs the slice cover
+COVER_CORPUS_SHA256 = "3ecfb3cf0d92e841a6fe3a8047baa4296a9eee2748367e2d2b44c9fd49b69666"
+
+
+def test_cover_stdout_digest_is_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    exact = set()
+    for name, t in _cover_corpus():
+        path = tmp_path / f"{name}.json"
+        dump_json(tensor_to_obj(t), str(path))
+        code, out, err = run(capsys, "rank", "-i", str(path), "--method", "cover")
+        assert code == 0 and not err, (name, code, err)
+        exact.add(json.loads(out)["exact"])
+        digest.update(out.encode())
+    assert exact == {True, False}
+    assert digest.hexdigest() == COVER_CORPUS_SHA256

@@ -7,6 +7,8 @@ from helpers import (
     brute_matrix_rank,
     pairing_zero,
     random_decomposition,
+    random_subspace,
+    reference_decomposition_from_certificate,
     reference_first_certificate,
     reference_slice_rank,
     reference_slice_rank_bound,
@@ -38,6 +40,7 @@ from slicerank import (
     slice_rank_exact,
     verify_certificate,
 )
+from slicerank import rank
 from slicerank.rank import _canonical_certificate, _slice_rank_bound
 from slicerank.serialize import rank_result_to_obj
 from slicerank.tensor import mode_product
@@ -262,6 +265,109 @@ def test_round_trips_seeded():
         back = decomposition_from_certificate(t, cert)
         assert len(back.terms) == cert.bound
         assert evaluate_decomposition(back) == t
+
+
+def _assert_same_terms(got, ref, case):
+    assert (got.field, got.shape, len(got.terms)) == (ref.field, ref.shape, len(ref.terms)), case
+    for a, b in zip(got.terms, ref.terms):
+        assert a.axis == b.axis, case
+        assert a.u.shape == b.u.shape and np.array_equal(a.u, b.u), case
+        assert a.v.shape == b.v.shape and np.array_equal(a.v, b.v), case
+
+
+def test_decomposition_from_certificate_matches_reference_expansion():
+    # the telescoped expansion gives the reference's terms, in its order, on
+    # search certificates (order 2 by the dual search, order 5, zero-size
+    # axes), on non-minimal certificates of random decompositions, and on
+    # full and random certificates of zero tensors
+    rng = np.random.default_rng(907)
+    cases = []
+    for p, shape in [(2, (3, 4)), (5, (4, 3)), (2, (2, 3, 3)), (3, (3, 3, 3)), (7, (2, 2, 3)),
+                     (5, (2, 2, 2, 2)), (2, (2, 2, 2, 2, 2)), (3, (1, 2, 2, 2, 2)),
+                     (5, (2, 0, 3)), (2, (0, 2))]:
+        for density in (1.0, 0.3):
+            data = rng.integers(0, p, size=shape) * (rng.random(shape) < density)
+            t = Tensor(PrimeField(p), shape, data)
+            cases.append((t, slice_rank_exact(t, method="dual").certificate))
+    for p, shape in [(2, (3, 3, 3)), (3, (2, 3, 4)), (5, (3, 3)), (7, (2, 2, 2, 2)),
+                     (3, (3, 0, 2))]:
+        for _ in range(3):
+            dec = random_decomposition(rng, PrimeField(p), shape)
+            cases.append((evaluate_decomposition(dec), certificate_from_decomposition(dec)))
+    for p, shape in [(2, (2, 2, 2)), (3, (3, 1, 2)), (5, (0, 2, 2)), (7, (3, 3))]:
+        z = Tensor.zeros(PrimeField(p), shape)
+        cases.append((z, DualCertificate.full(z.field, shape)))
+        cases.append((z, DualCertificate(tuple(random_subspace(rng, z.field, n) for n in shape))))
+    for t, cert in cases:
+        case = (t.field.p, t.shape, t.data.tolist())
+        got = decomposition_from_certificate(t, cert)
+        _assert_same_terms(got, reference_decomposition_from_certificate(t, cert), case)
+        assert len(got.terms) == cert.bound and evaluate_decomposition(got) == t, case
+
+
+def test_decomposition_from_certificate_refuses_like_reference():
+    # a diagonal against proper subspaces on every axis, then random
+    # certificates on random tensors, annihilating or not
+    t = diagonal_tensor(GF3, 3, 3)
+    sub = Subspace.from_rows(GF3, [[1, 0, 0], [0, 1, 0]])
+    cases = [(t, DualCertificate((sub, sub, sub)))]
+    rng = np.random.default_rng(911)
+    for p, shape in [(2, (2, 2, 2)), (3, (2, 3, 2)), (5, (2, 2)), (2, (2, 2, 2, 2))]:
+        field = PrimeField(p)
+        for _ in range(30):
+            data = rng.integers(0, p, size=shape) * (rng.random(shape) < 0.7)
+            subs = tuple(random_subspace(rng, field, n) for n in shape)
+            cases.append((Tensor(field, shape, data), DualCertificate(subs)))
+    refused = 0
+    for t, cert in cases:
+        case = (t.field.p, t.shape, t.data.tolist())
+        if verify_certificate(t, cert):
+            _assert_same_terms(decomposition_from_certificate(t, cert),
+                               reference_decomposition_from_certificate(t, cert), case)
+            continue
+        refused += 1
+        for expand in (decomposition_from_certificate, reference_decomposition_from_certificate):
+            with pytest.raises(VerificationError):
+                expand(t, cert)
+    assert 20 <= refused < len(cases), refused
+    eps = levi_civita(GF3)
+    for cert in (DualCertificate.full(GF3, (3, 3)), DualCertificate.full(GF3, (3, 3, 2)),
+                 DualCertificate.full(GF5, (3, 3, 3))):
+        for expand in (decomposition_from_certificate, reference_decomposition_from_certificate):
+            with pytest.raises(PreconditionError):
+                expand(eps, cert)
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls rank.py makes to one of its module-level names."""
+    calls = [0]
+    original = getattr(rank, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rank, name, counted)
+    return calls
+
+
+def test_expansion_makes_one_projection_per_axis(monkeypatch):
+    calls = _count_calls(monkeypatch, "mode_product")
+    rng = np.random.default_rng(919)
+    for shape in [(3, 3), (3, 3, 3), (2, 3, 2, 2), (2, 2, 2, 2, 2)]:
+        dec = random_decomposition(rng, GF3, shape)
+        t, cert = evaluate_decomposition(dec), certificate_from_decomposition(dec)
+        calls[0] = 0
+        decomposition_from_certificate(t, cert)
+        assert calls[0] == len(shape), shape
+
+
+def test_search_does_not_recheck_its_certificate(monkeypatch):
+    calls = _count_calls(monkeypatch, "verify_certificate")
+    rng = np.random.default_rng(929)
+    for t in (levi_civita(GF3), random_tensor(GF3, (3, 3, 3), rng), diagonal_tensor(GF2, 3, 2)):
+        assert slice_rank_exact(t).sigma is not None
+    assert calls[0] == 0
 
 
 # --- slice covers ---
