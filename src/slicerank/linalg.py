@@ -176,7 +176,24 @@ def matrix_rank(m: FieldMatrix) -> int:
 
 
 def _check_reduced(rows: np.ndarray) -> None:
-    """Raise unless the rows form a reduced echelon basis (forward order)."""
+    """Raise unless the rows form a reduced echelon basis (forward order).
+
+    All rows are checked at once; the rows are walked only to word the
+    first failure.
+    """
+    if rows.size:
+        # each row's first nonzero column (0 for a zero row, which the
+        # identity test refuses) must increase, and the rows at those
+        # columns must form the identity: pivots 1, pivot columns cleared
+        lead = (rows != 0).argmax(axis=1)
+        at_lead = rows[:, lead]
+        if (
+            not np.count_nonzero(lead[1:] <= lead[:-1])
+            and np.count_nonzero(at_lead) == np.count_nonzero(at_lead.diagonal() == 1) == len(rows)
+        ):
+            return
+    elif not len(rows):
+        return
     last = -1
     for row in rows:
         nz = np.flatnonzero(row)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PreconditionError, SliceRankError
-from .linalg import FieldMatrix, Subspace, complete_basis, invert_matrix, solve_right, _row_reduce
+from .linalg import FieldMatrix, solve_right, _row_reduce
 from .tensor import (
     SliceDecomposition,
     SliceTerm,
@@ -74,20 +74,21 @@ def rebase_terms(
 def dual_family(vectors: FieldMatrix) -> FieldMatrix:
     """Biorthogonal dual functionals for independent rows.
 
-    Completes the rows to an invertible matrix with standard basis vectors
-    and reads the duals off the inverse, so the choice is deterministic.
+    One reduction of [V | I] with pivots in V's columns gives [R | G] with
+    G V = R, the reduced echelon form of V, whose pivot columns hold the
+    identity. So G V[:, pivots] = I, and the duals are G^T at the pivot
+    columns and zero elsewhere: the unique biorthogonal family that
+    vanishes on the unit vectors at the free columns, so the choice is
+    deterministic.
     """
     p = vectors.field.p
-    _, piv = _row_reduce(vectors.data, p)
-    if len(piv) != vectors.rows:
+    k, n = vectors.rows, vectors.cols
+    red, piv = _row_reduce(np.hstack([vectors.data, np.eye(k, dtype=np.int64)]), p, pivot_limit=n)
+    if len(piv) != k:
         raise PreconditionError("vectors are linearly dependent")
-    sub = Subspace.from_rows(vectors.field, vectors.data)
-    full = complete_basis(sub)
-    # keep the given vectors as the leading rows; the standard-vector
-    # completion of their span still makes the stack invertible
-    stacked = np.vstack([vectors.data, full.data[vectors.rows :]])
-    inv = invert_matrix(FieldMatrix(vectors.field, stacked))
-    return FieldMatrix(vectors.field, inv.data[:, : vectors.rows].T)
+    duals = np.zeros((k, n), dtype=np.int64)
+    duals[:, piv] = red[:, n:].T
+    return FieldMatrix(vectors.field, duals)
 
 
 def _check_biorthogonal(vectors: FieldMatrix, duals: FieldMatrix) -> None:

@@ -21,14 +21,18 @@ most ``_BLOCK_CELLS`` cells at a time.
 
 The walk starts from the least rank of a flattening of T, an attained
 total, and stops at a total proven least. The proof is the Sawin-Tao
-duality argument applied to the last two axes: with U_1..U_{d-2} fixed,
-every total under them is at least their codimension sum plus the largest
-rank of an n_{d-1} x n_d slice of the array they contract to, since a
-codimension-c subspace on axis d-1 lowers each slice's rank by at most c.
-The least of these over all U_1..U_{d-2} bounds sigma from below; it is
-computed only when the raw slices reach the limit, which an input shows
-before any search. When the last-axis flattening rank, the total of the
-walk's first prefix tuple, meets the lower bound, that tuple is the
+duality argument applied to the last two axes: if (U_1, ..., U_d)
+annihilates T, then for every u_1 in U_1, ..., u_{d-2} in U_{d-2} the
+n_{d-1} x n_d matrix u_1 ... u_{d-2} . T vanishes on U_{d-1} x U_d, so
+its rank is at most the codimension sum of those two. Hence sigma is at
+least the least, over U_1..U_{d-2}, of their codimension sum plus the
+largest such rank over every vector tuple they contain. Vectors count up
+to scaling, so T is contracted once against every tuple of points (the
+dimension-1 subspaces) and each subspace tuple takes the largest rank
+over the point tuples inside it, a block of subspaces at a time; GF(p)^n
+itself is never enumerated. The bound runs whenever the least flattening
+rank does not settle sigma. When the last-axis flattening rank, the total
+of the walk's first prefix tuple, meets the bound, that tuple is the
 certificate and the walk is skipped; otherwise the walk ends at its first
 total that meets it.
 
@@ -267,30 +271,91 @@ def _contracted_blocks(batch: np.ndarray, stacks: list, shape: Sequence[int], p:
                 yield from _contracted_blocks(out, stacks[1:], shape[1:], p, link)
 
 
-def _slice_rank_bound(data: np.ndarray, p: int, cur: int, least: int) -> int:
-    """Least over subspace tuples on axes 0..d-3 of codim sum + max_k rank M_k.
+def _subspace_points(p: int, n: int, dim: int, step: int):
+    """Indices of the points in each dim-dimensional subspace, ``step`` subspaces at a time.
 
-    The M_k are the n_{d-2} x n_{d-1} slices of the array those subspaces
-    contract to. A subspace of codimension c on axis d-2 lowers the rank of
-    each M_k by at most c, and the contracted last-axis matrix holds every
-    restricted M_k, so this is a lower bound on every total under the
-    tuple, hence on sigma. ``cur`` is the term of the all-full tuple
-    (capped, as every rank here, at the largest useful value); a tuple
-    with a codimension sum at ``cur`` is not visited, and the search gives
-    up, returning a value at most ``least``, once the bound cannot exceed
-    ``least``.
+    The points are the dimension-1 subspaces, one per nonzero vector up to
+    scaling, in the order of ``_grassmannian_stack(p, n, 1)``; each is its
+    vector with leading entry 1. Those of a subspace with reduced basis B
+    are the c B for c among the points of GF(p)^dim: the pivots of B
+    increase, so the leading entry of c B is the first nonzero entry of c.
+    A vector is found among the points by its base-p code. Yields
+    (subspaces, points per subspace) index blocks in enumeration order.
+    """
+    if dim == 0:
+        yield np.zeros((1, 0), dtype=np.int64)
+        return
+    weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = _grassmannian_stack(p, n, 1)[:, :, 0] @ weights
+    order = np.argsort(codes)
+    ordered = codes[order]
+    coeffs = _grassmannian_stack(p, dim, 1)[:, :, 0]
+    stack = _grassmannian_stack(p, n, dim)
+    for k0 in range(0, len(stack), step):
+        bases = stack[k0 : k0 + step]
+        vecs = (coeffs @ bases.transpose(2, 0, 1).reshape(dim, -1)) % p
+        found = vecs.reshape(len(coeffs), len(bases), n) @ weights
+        yield order[np.searchsorted(ordered, found.T)]
+
+
+def _tuple_maxima(vals: np.ndarray, p: int, shape: Sequence[int], dims: Sequence[int]):
+    """Largest value over the point tuples inside each subspace tuple, in blocks.
+
+    ``vals`` holds a batch of arrays with one value per tuple of points on
+    the axes of ``shape``; the subspace tuples have dimensions ``dims``. One
+    axis at a time, each subspace in a block takes the largest value over
+    its points (0 over none), so every array a block gathers has at most
+    ``_BLOCK_CELLS`` cells, or one subspace's worth.
+    """
+    n, dim = shape[0], dims[0]
+    batch, rest = len(vals), vals[0, 0].size
+    inner = (p**dim - 1) // (p - 1)  # points per subspace
+    step = max(1, _BLOCK_CELLS // max(batch * inner * rest, n * inner, 1))
+    flat = vals.reshape(batch, -1, rest)
+    for idx in _subspace_points(p, n, dim, step):
+        out = flat[:, idx].max(axis=2, initial=0).reshape((-1,) + vals.shape[2:])
+        if len(shape) == 1:
+            yield out
+        else:
+            yield from _tuple_maxima(out, p, shape[1:], dims[1:])
+
+
+def _slice_rank_bound(data: np.ndarray, p: int, cap: int, least: int) -> int:
+    """Least over subspace tuples on axes 0..d-3 of codim sum + max rank of u . T.
+
+    The max runs over every tuple u = (u_0, ..., u_{d-3}) of vectors in the
+    subspaces, and u . T is the n_{d-2} x n_{d-1} matrix T contracts to. If
+    the tuple extends to a certificate with codimensions c_{d-2} and
+    c_{d-1} on the last two axes, every such matrix vanishes on a product
+    of subspaces of those codimensions, so its rank is at most c_{d-2} +
+    c_{d-1}; hence this is a lower bound on sigma (the Sawin-Tao duality
+    argument, which the additivity proof does not need). Scaling a vector
+    keeps the rank, so u runs over tuples of points, the dimension-1
+    subspaces: T is contracted against every point tuple once and the
+    matrices are ranked together, capped at ``cap``, before any subspace
+    tuple is visited; a subspace tuple then takes the largest rank over
+    the point tuples it contains (``_tuple_maxima``). No code enumerates
+    GF(p)^n. Codimension tuples come in lexicographic order; one whose sum
+    reaches the running least is not visited. Returns the bound or
+    ``cap``, whichever is smaller, or gives up with a value at most
+    ``least`` once the bound cannot exceed ``least``.
     """
     shape = data.shape
-    head = data.reshape(1, shape[0], -1)
-    for s, dims in _prefix_dims(shape[:-2], lambda s: cur <= max(s, least)):
-        if s == 0:  # the all-full tuple
+    lead = shape[:-2]
+    if lead:
+        stacks = [_grassmannian_stack(p, n, 1) for n in lead]
+        head = data.reshape(1, shape[0], -1)
+        blocks = _contracted_blocks(head, stacks, shape[1:-1], p)
+        ranks = np.concatenate([_batch_ranks(out, p, cap) for out, _ in blocks])
+        ranks = ranks.reshape((1,) + tuple(len(s) for s in stacks))
+    else:
+        ranks = _batch_ranks(data[None], p, cap)
+    cur = int(ranks.max())  # the all-full tuple
+    for s, dims in _prefix_dims(lead, lambda s: cur <= max(s, least)):
+        if s == 0:
             continue
-        stacks = [_grassmannian_stack(p, n, dim) for n, dim in zip(shape, dims)]
-        for out, _ in _contracted_blocks(head, stacks, shape[1:-1], p):
-            k = out.shape[2] // shape[-1]
-            slices = out.reshape(len(out), shape[-2], shape[-1], k).transpose(0, 3, 1, 2)
-            ranks = _batch_ranks(slices.reshape(-1, shape[-2], shape[-1]), p, cur - s)
-            cur = min(cur, s + int(ranks.reshape(len(out), k).max(axis=1, initial=0).min()))
+        for maxima in _tuple_maxima(ranks, p, lead, dims):
+            cur = min(cur, s + int(maxima.min()))
             if cur <= max(s, least):
                 break
     return cur
@@ -313,17 +378,15 @@ def _canonical_certificate(
 
     Before the walk, sigma is bounded on both sides. The least flattening
     rank is an attained total and caps the limit. ``least``, a proven
-    lower bound, is 1, or the least flattening rank when that is at most 2,
-    or the slice rank bound of ``_slice_rank_bound`` when that is larger;
-    above the limit it settles the answer as None at once. The gate: the
-    bound is computed only when the all-full tuple's term, the largest
-    rank of a raw n_{d-2} x n_{d-1} slice, reaches the limit. The bound is
-    at most that term, so below it the bound cannot show that the limit is
-    sigma, and on the inputs measured it then fell short of sigma too. The
-    walk stops at its first total equal to ``least``. First-hit stop: the
-    all-full prefix tuple comes first in the walk's order and its total is
-    the last-axis flattening rank, so when that equals ``least`` the tuple
-    is the answer and the walk is skipped.
+    lower bound, is the least flattening rank when that is at most 2, and
+    otherwise the larger of 1 and the slice rank bound of
+    ``_slice_rank_bound``, which runs whenever ``least`` is below the limit
+    (every vector of each prefix subspace, in bounded blocks; no gate).
+    Above the limit it settles the answer as None at once. The walk stops
+    at its first total equal to ``least``. First-hit stop: the all-full
+    prefix tuple comes first in the walk's order and its total is the
+    last-axis flattening rank, so when that equals ``least`` the tuple is
+    the answer and the walk is skipped.
     """
     if limit < 0:
         return None
@@ -333,21 +396,17 @@ def _canonical_certificate(
     # Each flattening's rank is an attained total (its annihilator on that
     # axis, full spaces on the others), so the least one bounds sigma. A
     # tensor has rank 1 exactly when some flattening does, so a least
-    # flattening rank of at most 2 is sigma itself. The raw last-two-axis
-    # slices, whose largest rank is the all-full term of the slice rank
-    # bound, share the elimination; zero padding to a common shape keeps
-    # every rank.
-    slices = data.reshape(-1, shape[-2], shape[-1])
-    mats = np.zeros((d + len(slices), max(shape), data.size // min(shape)), dtype=np.int64)
+    # flattening rank of at most 2 is sigma itself. Zero padding to a
+    # common shape keeps every rank.
+    mats = np.zeros((d, max(shape), data.size // min(shape)), dtype=np.int64)
     for axis, n in enumerate(shape):
         mats[axis, :n, : data.size // n] = np.moveaxis(data, axis, 0).reshape(n, -1)
-    mats[d:, : shape[-2], : shape[-1]] = slices
     ranks = _batch_ranks(mats, p, limit + 1)
-    seed, term = int(ranks[:d].min()), int(ranks[d:].max())
+    seed = int(ranks.min())
     limit = min(limit, seed)
     least = seed if seed <= 2 else 1
-    if least < limit <= term:
-        least = max(least, _slice_rank_bound(data, p, term, least))
+    if least < limit:
+        least = max(least, _slice_rank_bound(data, p, limit + 1, least))
     if least > limit:
         return None
     if ranks[d - 1] == least:
@@ -491,7 +550,8 @@ def decomposition_from_certificate(t: Tensor, c: DualCertificate) -> SliceDecomp
     sum_i R[i, f] e_P[i] at each free column f, so an array is the sum over
     f of u_f x (its slice at f) plus its image under proj. With arr
     starting as T, each axis gives one term per free column, in index
-    order, and then replaces arr by its image under proj. After the last
+    order, and then replaces arr by its image under proj; a full basis is
+    the identity, so an axis of codimension 0 is skipped. After the last
     axis arr is T contracted by every certificate basis, with rows placed
     at the pivots, which loses nothing: the terms sum to T, and the
     certificate verifies, exactly when arr is zero; otherwise this raises
@@ -503,6 +563,8 @@ def decomposition_from_certificate(t: Tensor, c: DualCertificate) -> SliceDecomp
     arr = t.data
     terms = []
     for axis, sub in enumerate(c.subspaces):
+        if not sub.codim:
+            continue
         rows, n = sub.basis.data, sub.ambient_dim
         proj = np.zeros((n, n), dtype=np.int64)
         proj[[int(np.flatnonzero(row)[0]) for row in rows]] = rows

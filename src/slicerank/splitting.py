@@ -110,6 +110,10 @@ def _split_axis(sub: Subspace, s: int, option: str) -> AxisSplit:
         w1 = rows[:k].copy()
         w1[:, s:] = 0
         w2 = rows[k:]
+        # each row keeps its pivot on its side of s, so both blocks of a
+        # reduced basis are reduced
+        block1 = Subspace(field, s, FieldMatrix(field, w1[:, :s]))
+        block2 = Subspace(field, n - s, FieldMatrix(field, w2[:, s:]))
     else:
         ech = echelonize(sub.basis, "backward")
         rows = ech.matrix.data
@@ -118,11 +122,11 @@ def _split_axis(sub: Subspace, s: int, option: str) -> AxisSplit:
         w2 = rows[[i for i, b in enumerate(in_block1) if not b]].copy()
         w2[:, :s] = 0
         k = w1.shape[0]
+        block1 = Subspace.from_rows(field, w1[:, :s], ambient_dim=s)
+        block2 = Subspace.from_rows(field, w2[:, s:], ambient_dim=n - s)
+        if block1.dim != k or block2.dim != sub.dim - k:
+            raise AssertionError("split rows lost independence")
     w = np.vstack([w1, w2]) if w1.size or w2.size else np.zeros((0, n), dtype=np.int64)
-    block1 = Subspace.from_rows(field, w1[:, :s], ambient_dim=s)
-    block2 = Subspace.from_rows(field, w2[:, s:], ambient_dim=n - s)
-    if block1.dim != k or block2.dim != sub.dim - k:
-        raise AssertionError("split rows lost independence")
     return AxisSplit(FieldMatrix(field, w), k, block1, block2)
 
 

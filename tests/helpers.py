@@ -13,10 +13,14 @@ composition, subspace) order by construction; both check the walk of
 certificate first, completes each basis and inverts it by elimination, and
 expands T in the product basis, so the rank reference builds its
 decomposition without the shipped expansion. The slice rank bound reference
-enumerates every subspace tuple on the leading axes and ranks each
-contracted slice by its row span. The parse references are the per-entry
-loops the wire-format readers ran before they checked in bulk; they share
-only the field and shape helpers with ``serialize``.
+enumerates every subspace tuple on the leading axes and every vector tuple
+in it, and ranks each contracted matrix by its row span; the basis-only
+reference next to it is the weaker bound shipped before. The dual family
+reference completes the rows to an invertible matrix and inverts it by
+elimination; the reduced-basis reference checks row by row. The parse
+references are the per-entry loops the wire-format readers ran before
+they checked in bulk; they share only the field and shape helpers with
+``serialize``.
 """
 
 import math
@@ -36,12 +40,13 @@ from slicerank import (
     block_component,
     complete_basis,
     invert_matrix,
+    matrix_rank,
     slice_rank_exact,
     verify_certificate,
 )
 from slicerank.linalg import grassmannian
 from slicerank.rank import RankResult
-from slicerank.errors import FormatError, VerificationError
+from slicerank.errors import FormatError, PreconditionError, VerificationError
 from slicerank.serialize import (
     MAX_DENSE_CELLS,
     _int_field,
@@ -330,10 +335,40 @@ def reference_decomposition_from_certificate(t: Tensor, c: DualCertificate) -> S
 
 
 def reference_slice_rank_bound(data, p):
-    """Least over subspace tuples on axes 0..d-3 of codimension sum + largest slice rank.
+    """Least over subspace tuples on axes 0..d-3 of codimension sum + largest rank of u . T.
 
-    The slices are the n_{d-2} x n_{d-1} matrices of the array the tuple
-    contracts to; every tuple of every dimension is tried.
+    u runs over every tuple of vectors in the subspaces, each subspace
+    enumerated as its whole row span, and u . T is the n_{d-2} x n_{d-1}
+    matrix T contracts to, ranked by its row span (once per vector tuple);
+    every subspace tuple of every dimension is tried.
+    """
+    lead = [
+        [sub for dim in range(n + 1) for sub in grassmannian(p, n, dim)]
+        for n in data.shape[:-2]
+    ]
+    ranks = {}
+
+    def rank_at(vectors):
+        if vectors not in ranks:
+            arr = data
+            for u in vectors:
+                arr = np.tensordot(np.array(u, dtype=np.int64), arr, axes=([0], [0])) % p
+            ranks[vectors] = brute_matrix_rank(arr, p)
+        return ranks[vectors]
+
+    best = None
+    for subs in product(*lead):
+        worst = max(rank_at(vectors) for vectors in product(*map(subspace_tuples, subs)))
+        total = sum(sub.codim for sub in subs) + worst
+        best = total if best is None else min(best, total)
+    return best
+
+
+def reference_basis_slice_rank_bound(data, p):
+    """The same least with u running only over tuples of basis vectors.
+
+    Every slice of the array the basis tuple contracts to is ranked by its
+    row span. This is the weaker bound the every-vector one contains.
     """
     lead = [
         [sub for dim in range(n + 1) for sub in grassmannian(p, n, dim)]
@@ -349,6 +384,39 @@ def reference_slice_rank_bound(data, p):
         total = sum(sub.codim for sub in subs) + worst
         best = total if best is None else min(best, total)
     return best
+
+
+def reference_dual_family(vectors: FieldMatrix) -> FieldMatrix:
+    """Biorthogonal duals read off the inverse of the rows completed by unit vectors.
+
+    The completion is ``complete_basis`` of the rows' span, the given rows
+    kept as the leading rows; the inverse comes from ``invert_matrix``.
+    """
+    p = vectors.field.p
+    if matrix_rank(vectors) != vectors.rows:
+        raise PreconditionError("vectors are linearly dependent")
+    full = complete_basis(Subspace.from_rows(vectors.field, vectors.data))
+    stacked = np.vstack([vectors.data, full.data[vectors.rows :]])
+    inv = invert_matrix(FieldMatrix(vectors.field, stacked))
+    return FieldMatrix(vectors.field, inv.data[:, : vectors.rows].T)
+
+
+def reference_check_reduced(rows):
+    """The reduced-basis check row by row: the message of the first failure, or None."""
+    last = -1
+    for row in rows:
+        nz = np.flatnonzero(row)
+        if nz.size == 0:
+            return "basis contains a zero row"
+        c = int(nz[0])
+        if c <= last:
+            return "pivot columns are not strictly increasing"
+        if row[c] != 1:
+            return "pivot entry is not 1"
+        if np.count_nonzero(rows[:, c]) != 1:
+            return f"pivot column {c} is not cleared"
+        last = c
+    return None
 
 
 def reference_dense_from_obj(obj, expect_field=None, max_cells=MAX_DENSE_CELLS):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from helpers import (
     brute_matrix_rank,
     random_matrix,
     random_subspace,
+    reference_check_reduced,
     span_tuples,
     subspace_tuples,
 )
@@ -235,6 +238,21 @@ def test_subspace_rejects_non_canonical_bases():
     for rows in ([[2, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 1], [0, 1]], [[0, 0]]):
         with pytest.raises(NonCanonicalBasisError):
             Subspace(GF3, 2, FieldMatrix(GF3, rows))
+
+
+def test_subspace_check_matches_row_by_row_reference():
+    # every small matrix is accepted or refused as the row-by-row check
+    # decides, with the message of its first failing row
+    for field, rows, cols in [(GF2, 0, 0), (GF2, 1, 0), (GF2, 0, 3), (GF2, 3, 3), (GF3, 2, 2),
+                              (GF3, 1, 4)]:
+        for entries in itertools.product(range(field.p), repeat=rows * cols):
+            data = np.array(entries, dtype=np.int64).reshape(rows, cols)
+            expected = reference_check_reduced(data)
+            if expected is None:
+                Subspace(field, cols, FieldMatrix(field, data))
+            else:
+                with pytest.raises(NonCanonicalBasisError, match=f"^{expected}$"):
+                    Subspace(field, cols, FieldMatrix(field, data))
 
 
 def test_subspace_from_rows_canonicalizes():

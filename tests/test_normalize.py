@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_decomposition
+from helpers import random_decomposition, reference_dual_family
 from slicerank import (
     FieldMatrix,
     PreconditionError,
@@ -101,6 +101,17 @@ def test_dual_family_is_biorthogonal():
             duals = dual_family(fam)
             gram = (duals.data @ fam.data.T) % p
             assert np.array_equal(gram, np.eye(k, dtype=np.int64))
+
+
+def test_dual_family_matches_inverse_of_completed_rows():
+    # the one reduction gives the duals the completed inverse gave
+    rng = np.random.default_rng(7)
+    for p in (2, 3, 5, 7):
+        field = PrimeField(p)
+        for n in (1, 2, 3, 5):
+            for k in range(n + 1):
+                fam = independent_family(rng, field, n, k)
+                assert dual_family(fam) == reference_dual_family(fam), (p, fam.data.tolist())
 
 
 def test_dual_family_rejects_dependent_rows():

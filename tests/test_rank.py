@@ -8,12 +8,14 @@ from helpers import (
     pairing_zero,
     random_decomposition,
     random_subspace,
+    reference_basis_slice_rank_bound,
     reference_decomposition_from_certificate,
     reference_first_certificate,
     reference_slice_rank,
     reference_slice_rank_bound,
 )
 from slicerank import (
+    BlockStructure,
     DualCertificate,
     EnumerationLimitError,
     FieldMatrix,
@@ -35,6 +37,7 @@ from slicerank import (
     matrix_rank,
     min_slice_cover,
     permute_axis,
+    random_block_upper_triangular,
     rank_via_cover,
     random_tensor,
     slice_rank_exact,
@@ -359,7 +362,7 @@ def test_expansion_makes_one_projection_per_axis(monkeypatch):
         t, cert = evaluate_decomposition(dec), certificate_from_decomposition(dec)
         calls[0] = 0
         decomposition_from_certificate(t, cert)
-        assert calls[0] == len(shape), shape
+        assert calls[0] == sum(1 for sub in cert.subspaces if sub.codim), shape
 
 
 def test_search_does_not_recheck_its_certificate(monkeypatch):
@@ -526,9 +529,16 @@ def test_search_composition_matches_reference_walk():
             assert _canonical_certificate(data, p, bound) == expected, (p, data.shape, bound)
 
 
+def _seed_2024_arrays():
+    """Ten random 5x5x5 GF(2) arrays; no slice of the first on its last two axes has full rank."""
+    rng = np.random.default_rng(2024)
+    return [rng.integers(0, 2, size=(5, 5, 5)) for _ in range(10)]
+
+
 def test_slice_rank_bound_matches_reference_and_stays_below_sigma():
-    # the bound the walk starts from is the enumerated minimum and never
-    # exceeds sigma, on the walk's arrays and on sums of slice terms
+    # the bound the walk starts from is the enumerated minimum over every
+    # vector tuple, at least the basis-only minimum, and never above sigma,
+    # on the walk's arrays and on sums of slice terms
     rng = np.random.default_rng(47)
     arrays = _reference_walk_arrays()
     for p, shape in [(2, (3, 3, 3)), (2, (3, 3, 4)), (3, (3, 3, 3)), (5, (3, 3, 3)),
@@ -539,12 +549,76 @@ def test_slice_rank_bound_matches_reference_and_stays_below_sigma():
     for p, data in arrays:
         if not data.any():
             continue
-        slices = data.reshape(-1, *data.shape[-2:])
-        term = max(brute_matrix_rank(m, p) for m in slices)
-        bound = _slice_rank_bound(data, p, term, 0)
+        bound = _slice_rank_bound(data, p, min(data.shape) + 1, 0)
         assert bound == reference_slice_rank_bound(data, p), (p, data.tolist())
+        assert bound >= reference_basis_slice_rank_bound(data, p), (p, data.tolist())
         sigma = reference_slice_rank(Tensor(PrimeField(p), data.shape, data)).sigma
         assert bound <= sigma, (p, data.tolist())
+
+
+def test_slice_rank_bound_reaches_sigma_on_random_5x5x5_gf2():
+    # the least flattening rank is an attained total, so a bound that
+    # reaches it is sigma; on the first array the basis-only bound does not
+    for i, data in enumerate(_seed_2024_arrays()):
+        flat = min(brute_matrix_rank(np.moveaxis(data, a, 0).reshape(5, -1), 2) for a in range(3))
+        bound = _slice_rank_bound(data, 2, 6, 0)
+        assert bound == flat == reference_slice_rank_bound(data, 2), i
+        assert slice_rank_exact(Tensor(GF2, data.shape, data)).sigma == bound, i
+    assert reference_basis_slice_rank_bound(_seed_2024_arrays()[0], 2) < 5
+
+
+def _count_walk_blocks(monkeypatch, order):
+    """Count the blocks the walk contracts when it searches order-``order`` tensors.
+
+    The walk contracts axes 0..d-2 and the slice rank bound axes 0..d-3,
+    so the two are told apart by the number of candidate stacks of the
+    outermost call; recursive calls pass a chain and are not counted.
+    """
+    blocks = [0]
+    original = rank._contracted_blocks
+
+    def counted(batch, stacks, shape, p, chain=()):
+        for out, link in original(batch, stacks, shape, p, chain):
+            blocks[0] += not chain and len(stacks) == order - 1
+            yield out, link
+
+    monkeypatch.setattr(rank, "_contracted_blocks", counted)
+    return blocks
+
+
+def test_walk_contracts_nothing_once_the_bound_settles_sigma(monkeypatch):
+    # when the last-axis flattening rank is sigma, the all-full prefix
+    # tuple is the certificate, and a bound that reaches sigma proves it
+    # without a walk: on 4x4x4 sums of two slice rank 2 parts, on the
+    # random 5x5x5 GF(2) tensor with no full-rank slice on its last two
+    # axes, and on the upper-triangular 3x3x3 tensors with 1,1,1 blocks
+    # whose certificate it is (the others need the walk to find theirs)
+    rng = np.random.default_rng(67)
+    sums, triangular = [], []
+    for field in (GF2, GF3):
+        for _ in range(6):
+            parts = []
+            while len(parts) < 2:
+                data = rng.integers(0, field.p, size=(2, 2, 2))
+                flats = [brute_matrix_rank(np.moveaxis(data, a, 0).reshape(2, 4), field.p)
+                         for a in range(3)]
+                if min(flats) == 2:  # no flattening of rank at most 1: slice rank 2
+                    parts.append(Tensor(field, (2, 2, 2), data))
+            sums.append(direct_sum(*parts)[0])
+        blocks = BlockStructure(((1, 1, 1),) * 3)
+        triangular += [random_block_upper_triangular(field, blocks, rng) for _ in range(20)]
+    found = Tensor(GF2, (5, 5, 5), _seed_2024_arrays()[0])
+    walked = _count_walk_blocks(monkeypatch, 3)
+    settled = 0
+    for t in sums + [found] + triangular:
+        walked[0] = 0
+        sigma = slice_rank_exact(t).sigma
+        last = brute_matrix_rank(t.data.reshape(-1, t.shape[-1]).T, t.field.p)
+        assert last == sigma or t in triangular, t.data.tolist()
+        if last == sigma:
+            assert walked[0] == 0, (t.field.p, t.data.tolist(), sigma)
+            settled += sigma == 3
+    assert settled >= 5
 
 
 def test_least_rank_matches_reference_search():
@@ -585,23 +659,34 @@ def test_least_rank_matches_reference_search():
             assert rank_result_to_obj(got) == rank_result_to_obj(ref), case
 
 
-def test_least_rank_pass_memory_stays_small():
-    # the walk contracts and reduces in bounded blocks. On the random tensor
-    # the slice rank bound settles sigma before any walk (peak about 0.2
-    # MB); the diagonal's slices have rank 1, so the walk refutes every
-    # total below 4 itself: about 0.9 MB here, 2.4 MB when one block takes
-    # everything
+def test_least_rank_pass_memory_stays_small(monkeypatch):
+    # the walk and the slice rank bound work in bounded blocks. On the
+    # random 4x4x4 tensor the bound settles sigma before any walk (peak
+    # under 0.1 MB). On the sum of slice terms the bound reaches sigma 3,
+    # but the certificate comes late, so the walk runs through 11 blocks:
+    # about 0.9 MB here, 2.4 MB when one block takes everything. On the
+    # 7x3x3 tensor the bound visits the 2667 subspaces of dimension 5 on
+    # axis 0: about 0.8 MB here, 8.8 MB with their points in one block
     import tracemalloc
 
-    for t in (random_tensor(GF3, (4, 4, 4), np.random.default_rng(61)), diagonal_tensor(GF3, 4, 4)):
+    terms = evaluate_decomposition(random_decomposition(np.random.default_rng(1), GF3, (4, 4, 4)))
+    cases = [
+        (random_tensor(GF3, (4, 4, 4), np.random.default_rng(61)), 4, False),
+        (terms, 3, True),
+        (random_tensor(GF2, (7, 3, 3), np.random.default_rng(0)), 3, False),
+    ]
+    walked = _count_walk_blocks(monkeypatch, 3)
+    for t, sigma, walks in cases:
+        walked[0] = 0
         slice_rank_exact(t)  # fill the subspace caches outside the measurement
+        assert (walked[0] > 0) == walks
         tracemalloc.start()
         try:
             res = slice_rank_exact(t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.sigma == 4
+        assert res.sigma == sigma
         assert peak < 1.5 * 2**20, peak
 
 
