@@ -387,8 +387,9 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     return num // den
 
 
+@lru_cache(maxsize=None)
 def count_subspaces(n: int, p: int) -> int:
-    """Total number of subspaces of GF(p)^n, every dimension included."""
+    """Total number of subspaces of GF(p)^n, every dimension included; memoized."""
     return sum(gaussian_binomial(n, k, p) for k in range(n + 1))
 
 

@@ -30,11 +30,17 @@ largest such rank over every vector tuple they contain. Vectors count up
 to scaling, so T is contracted once against every tuple of points (the
 dimension-1 subspaces) and each subspace tuple takes the largest rank
 over the point tuples inside it, a block of subspaces at a time; GF(p)^n
-itself is never enumerated. The bound runs whenever the least flattening
-rank does not settle sigma. When the last-axis flattening rank, the total
-of the walk's first prefix tuple, meets the bound, that tuple is the
-certificate and the walk is skipped; otherwise the walk ends at its first
-total that meets it.
+itself is never enumerated; the point indices of each subspace are
+tabled once per field, ambient dimension and subspace dimension. The
+bound runs whenever the least flattening rank does not settle sigma.
+When the last-axis flattening rank, the total of the walk's first prefix
+tuple, meets the bound, that tuple is the certificate and the walk is
+skipped; otherwise the walk ends at its first total that meets it. On an
+order-3 tensor the same point ranks, computed once per search, also
+filter the walk: a U_1 of codimension c_1 whose largest point rank m has
+c_1 + m above the best total so far cannot lead to a kept total, so it
+is dropped before any contraction. The survivors are met in enumeration
+order, so the kept tuple does not change.
 
 The certificate becomes a decomposition with exactly sigma terms by
 telescoping one projection per axis. A reduced echelon basis completed by
@@ -180,39 +186,46 @@ def _grassmannian_stack(p: int, ambient_dim: int, dim: int) -> np.ndarray:
 def _batch_ranks(mats: np.ndarray, p: int, cap: int) -> np.ndarray:
     """Ranks mod p of a (count, rows, cols) stack of matrices, each capped at ``cap``.
 
-    One vectorized elimination pass per column of the narrower side: each
-    matrix takes a row with the largest entry in the column as its pivot,
-    and every row, the pivot row included, becomes lead * row - entry *
-    pivot, which clears the column. Scaling rows by the nonzero lead keeps
-    the rank, and the pivot row, now zero, has been counted. A matrix whose
-    count reaches ``cap`` is dropped, and the passes stop once every
-    remaining matrix is zero. No rank exceeds the narrower side, so a cap
-    or a side of at most 1 is answered by one ``any``.
+    Entries must lie in [0, p). One vectorized elimination pass per column
+    of the narrower side: each matrix takes a row with the largest entry
+    in the column as its pivot, fetched whole by one fancy index, and
+    every row, the pivot row included, becomes lead * row - entry * pivot,
+    which clears the column. Scaling rows by the nonzero lead keeps the
+    rank, and the pivot row, now zero, has been counted. When the cap is
+    below the narrower side, a matrix whose count reaches it is dropped
+    before the next pass; at the narrower side no count can pass it. A
+    column that is zero in every matrix is dropped unchanged, and only
+    then does a whole-array ``any`` test whether the passes can stop. No
+    rank exceeds the narrower side, so a cap or a side of at most 1 is
+    answered by one ``any``.
     """
     cap = min(cap, *mats.shape[1:])
     if cap <= 1:
         return np.where(mats.any(axis=(1, 2)), cap, 0)
     if mats.shape[1] < mats.shape[2]:
         mats = mats.transpose(0, 2, 1)
+    cols = mats.shape[2]
     ranks = np.full(len(mats), cap, dtype=np.int64)
-    live = np.arange(len(mats))
+    live = every = np.arange(len(mats))
     rank = np.zeros(len(mats), dtype=np.int64)
-    for _ in range(mats.shape[2]):
-        keep = rank < cap
-        if not keep.all():
-            mats, rank, live = mats[keep], rank[keep], live[keep]
-        if not mats.any():
-            break
+    for _ in range(cols):
+        if cap < cols:
+            keep = rank < cap
+            if not keep.all():
+                mats, rank, live = mats[keep], rank[keep], live[keep]
+                every = every[: len(mats)]
         col = mats[:, :, 0]
-        pivot = col.argmax(axis=1)
-        every = np.arange(len(mats))
-        lead = col[every, pivot]
+        pivot_row = mats[every, col.argmax(axis=1)]
+        lead = pivot_row[:, 0]
+        if not lead.any():
+            if not mats.any():
+                break
+            mats = mats[:, :, 1:]
+            continue
         rank += lead > 0
-        rest = mats[:, :, 1:]
-        pivot_row = rest[every, pivot]
-        scaled = np.maximum(lead, 1)[:, None, None] * rest
-        mats = (scaled - col[:, :, None] * pivot_row[:, None, :]) % p
-    ranks[live] = np.minimum(rank, cap)
+        scaled = np.maximum(lead, 1)[:, None, None] * mats[:, :, 1:]
+        mats = (scaled - col[:, :, None] * pivot_row[:, None, 1:]) % p
+    ranks[live] = rank
     return ranks
 
 
@@ -271,31 +284,50 @@ def _contracted_blocks(batch: np.ndarray, stacks: list, shape: Sequence[int], p:
                 yield from _contracted_blocks(out, stacks[1:], shape[1:], p, link)
 
 
-def _subspace_points(p: int, n: int, dim: int, step: int):
-    """Indices of the points in each dim-dimensional subspace, ``step`` subspaces at a time.
+@lru_cache(maxsize=None)
+def _point_table(p: int, n: int, dim: int) -> np.ndarray:
+    """Read-only (subspaces, points per subspace) indices of the points in each subspace.
 
     The points are the dimension-1 subspaces, one per nonzero vector up to
     scaling, in the order of ``_grassmannian_stack(p, n, 1)``; each is its
     vector with leading entry 1. Those of a subspace with reduced basis B
     are the c B for c among the points of GF(p)^dim: the pivots of B
     increase, so the leading entry of c B is the first nonzero entry of c.
-    A vector is found among the points by its base-p code. Yields
-    (subspaces, points per subspace) index blocks in enumeration order.
+    A vector is found among the points by its base-p code. Rows come in
+    enumeration order, and the table is built a block of subspaces at a
+    time, so no temporary exceeds ``_BLOCK_CELLS`` cells by more than one
+    subspace's worth.
     """
     if dim == 0:
-        yield np.zeros((1, 0), dtype=np.int64)
-        return
+        table = np.zeros((1, 0), dtype=np.intp)
+        table.setflags(write=False)
+        return table
     weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     codes = _grassmannian_stack(p, n, 1)[:, :, 0] @ weights
     order = np.argsort(codes)
     ordered = codes[order]
     coeffs = _grassmannian_stack(p, dim, 1)[:, :, 0]
     stack = _grassmannian_stack(p, n, dim)
+    table = np.empty((len(stack), len(coeffs)), dtype=np.intp)
+    step = max(1, _BLOCK_CELLS // (len(coeffs) * n))
     for k0 in range(0, len(stack), step):
         bases = stack[k0 : k0 + step]
         vecs = (coeffs @ bases.transpose(2, 0, 1).reshape(dim, -1)) % p
         found = vecs.reshape(len(coeffs), len(bases), n) @ weights
-        yield order[np.searchsorted(ordered, found.T)]
+        table[k0 : k0 + step] = order[np.searchsorted(ordered, found.T)]
+    table.setflags(write=False)
+    return table
+
+
+def _subspace_points(p: int, n: int, dim: int, step: int):
+    """Indices of the points in each dim-dimensional subspace, ``step`` subspaces at a time.
+
+    Yields (subspaces, points per subspace) blocks of ``_point_table`` in
+    enumeration order.
+    """
+    table = _point_table(p, n, dim)
+    for k0 in range(0, len(table), step):
+        yield table[k0 : k0 + step]
 
 
 def _tuple_maxima(vals: np.ndarray, p: int, shape: Sequence[int], dims: Sequence[int]):
@@ -320,7 +352,29 @@ def _tuple_maxima(vals: np.ndarray, p: int, shape: Sequence[int], dims: Sequence
             yield from _tuple_maxima(out, p, shape[1:], dims[1:])
 
 
-def _slice_rank_bound(data: np.ndarray, p: int, cap: int, least: int) -> int:
+def _point_ranks(data: np.ndarray, p: int, cap: int) -> np.ndarray:
+    """Rank of u . T for every tuple u of points on axes 0..d-3, capped at ``cap``.
+
+    u . T is the n_{d-2} x n_{d-1} matrix T contracts to. The points are
+    the dimension-1 subspaces, in the order of ``_grassmannian_stack(p, n,
+    1)``; T is contracted against all of their tuples in the blocks of
+    ``_contracted_blocks``. Returns an array of shape (1, points on axis
+    0, ..., points on axis d-3), and (1,) for an order-2 T.
+    """
+    shape = data.shape
+    lead = shape[:-2]
+    if not lead:
+        return _batch_ranks(data[None], p, cap)
+    stacks = [_grassmannian_stack(p, n, 1) for n in lead]
+    head = data.reshape(1, shape[0], -1)
+    blocks = _contracted_blocks(head, stacks, shape[1:-1], p)
+    ranks = np.concatenate([_batch_ranks(out, p, cap) for out, _ in blocks])
+    return ranks.reshape((1,) + tuple(len(s) for s in stacks))
+
+
+def _slice_rank_bound(
+    data: np.ndarray, p: int, cap: int, least: int, ranks: Optional[np.ndarray] = None
+) -> int:
     """Least over subspace tuples on axes 0..d-3 of codim sum + max rank of u . T.
 
     The max runs over every tuple u = (u_0, ..., u_{d-3}) of vectors in the
@@ -331,25 +385,18 @@ def _slice_rank_bound(data: np.ndarray, p: int, cap: int, least: int) -> int:
     c_{d-1}; hence this is a lower bound on sigma (the Sawin-Tao duality
     argument, which the additivity proof does not need). Scaling a vector
     keeps the rank, so u runs over tuples of points, the dimension-1
-    subspaces: T is contracted against every point tuple once and the
-    matrices are ranked together, capped at ``cap``, before any subspace
-    tuple is visited; a subspace tuple then takes the largest rank over
-    the point tuples it contains (``_tuple_maxima``). No code enumerates
+    subspaces: ``ranks`` holds the rank of u . T for every point tuple,
+    capped at ``cap``, as ``_point_ranks`` gives it (computed here when
+    not passed), and a subspace tuple takes the largest rank over the
+    point tuples it contains (``_tuple_maxima``). No code enumerates
     GF(p)^n. Codimension tuples come in lexicographic order; one whose sum
     reaches the running least is not visited. Returns the bound or
     ``cap``, whichever is smaller, or gives up with a value at most
     ``least`` once the bound cannot exceed ``least``.
     """
-    shape = data.shape
-    lead = shape[:-2]
-    if lead:
-        stacks = [_grassmannian_stack(p, n, 1) for n in lead]
-        head = data.reshape(1, shape[0], -1)
-        blocks = _contracted_blocks(head, stacks, shape[1:-1], p)
-        ranks = np.concatenate([_batch_ranks(out, p, cap) for out, _ in blocks])
-        ranks = ranks.reshape((1,) + tuple(len(s) for s in stacks))
-    else:
-        ranks = _batch_ranks(data[None], p, cap)
+    if ranks is None:
+        ranks = _point_ranks(data, p, cap)
+    lead = data.shape[:-2]
     cur = int(ranks.max())  # the all-full tuple
     for s, dims in _prefix_dims(lead, lambda s: cur <= max(s, least)):
         if s == 0:
@@ -387,6 +434,16 @@ def _canonical_certificate(
     prefix tuple comes first in the walk's order and its total is the
     last-axis flattening rank, so when that equals ``least`` the tuple is
     the answer and the walk is skipped.
+
+    The point ranks of ``_point_ranks`` are computed at most once, when
+    the bound runs or an order-3 walk does, capped at the limit plus one.
+    An order-3 walk drops each axis-0 candidate whose codimension plus its
+    largest point rank (``_tuple_maxima``, once per dimension) exceeds the
+    current limit: every u in the U_0 of a certificate has rank(u . T) at
+    most the codimension sum of the other two axes, so such a U_0 has no
+    total within the limit. A composition left without candidates is
+    skipped, and the index the walk keeps maps back through the surviving
+    positions. Order 4 and up walk unfiltered.
     """
     if limit < 0:
         return None
@@ -405,8 +462,10 @@ def _canonical_certificate(
     seed = int(ranks.min())
     limit = min(limit, seed)
     least = seed if seed <= 2 else 1
+    points = None  # rank of u . T per point tuple u, once the bound or the filter needs it
     if least < limit:
-        least = max(least, _slice_rank_bound(data, p, limit + 1, least))
+        points = _point_ranks(data, p, limit + 1)
+        least = max(least, _slice_rank_bound(data, p, limit + 1, least, points))
     if least > limit:
         return None
     if ranks[d - 1] == least:
@@ -415,8 +474,23 @@ def _canonical_certificate(
     else:
         best = None  # (dims, prefix indices, A)
         head = data.reshape(1, shape[0], -1)
+        if d == 3 and points is None:
+            points = _point_ranks(data, p, limit + 1)
+        maxima = {}  # axis-0 dimension -> largest point rank in each subspace
         for s, dims in _prefix_dims(shape[:-1], lambda s: limit < max(s, least)):
             stacks = [_grassmannian_stack(p, n, dim) for n, dim in zip(shape, dims)]
+            kept = None
+            if d == 3:
+                # U_0 of a certificate bounds every rank of u . T by the
+                # codimension sum of the other two axes, so a total of at
+                # most limit needs c_0 + (largest point rank in U_0) <= limit
+                if dims[0] not in maxima:
+                    maxima[dims[0]] = np.concatenate(
+                        list(_tuple_maxima(points, p, shape[:1], dims[:1])))
+                kept = np.flatnonzero(maxima[dims[0]] <= limit - (shape[0] - dims[0]))
+                if not len(kept):
+                    continue
+                stacks[0] = stacks[0][kept]
             for out, chain in _contracted_blocks(head, stacks, shape[1:], p):
                 cap = limit - s  # the largest rank of A that lowers the best total
                 block_ranks = _batch_ranks(out, p, cap + 1)
@@ -428,7 +502,10 @@ def _canonical_certificate(
                     for r0, k0, kc in reversed(chain):
                         idx.append(k0 + j % kc)
                         j = r0 + j // kc
-                    best = (dims + (shape[-1] - r,), idx[::-1], a)
+                    idx.reverse()
+                    if kept is not None:
+                        idx[0] = int(kept[idx[0]])
+                    best = (dims + (shape[-1] - r,), idx, a)
                     limit = s + r - 1
                 if limit < max(s, least):
                     break
@@ -587,7 +664,14 @@ def min_slice_cover(t: Tensor) -> CoverResult:
 
     Solved by branch and bound on the set cover instance whose sets are the
     nonempty slices (axis, index). Always an upper bound for the slice
-    rank; equal to it when the support is an antichain.
+    rank; equal to it when the support is an antichain. A node prunes when
+    the slices chosen plus a lower bound on those still needed reach the
+    best cover found: the uncovered points over the largest gain, or the
+    number of uncovered points that pairwise share no slice, since no slice
+    covers two of them. Either cuts only subtrees that hold no strictly
+    smaller cover, so the cover returned is the first least one the tree
+    meets. Slices that cover no uncovered point are dropped as the tree
+    descends.
     """
     points = [tuple(int(i) for i in idx) for idx in np.argwhere(t.data)]
     if not points:
@@ -620,35 +704,47 @@ def min_slice_cover(t: Tensor) -> CoverResult:
         covered |= masks[pick]
     best_size = len(best)
 
+    # every point lies on exactly one slice per axis, so the point to
+    # branch on, the uncovered one with the fewest slices (the first of
+    # them), is the uncovered one of least index
     point_slices = [
         [i for i, m in enumerate(masks) if (m >> k) & 1] for k in range(len(points))
     ]
-    # every slice through an uncovered point still gains it, so the point
-    # to branch on, the uncovered one with the fewest slices (the first of
-    # them), is the first uncovered one in this order
-    branch_order = sorted(range(len(points)), key=lambda k: len(point_slices[k]))
+    touches = [0] * len(points)  # the points that share a slice with each point
+    for k, options in enumerate(point_slices):
+        for i in options:
+            touches[k] |= masks[i]
 
-    def dfs(covered: int, chosen: list[int]) -> None:
+    def dfs(rem: int, chosen: list[int], live) -> None:
         nonlocal best, best_size
-        if covered == universe:
+        if not rem:
             if len(chosen) < best_size:
                 best = list(chosen)
                 best_size = len(chosen)
             return
-        rem = universe & ~covered
-        gains = [(m & rem).bit_count() for m in masks]  # new points per slice
-        if len(chosen) + -(-rem.bit_count() // max(gains)) >= best_size:
+        gains = {}  # new points per slice that still has some
+        for i in live:
+            g = (masks[i] & rem).bit_count()
+            if g:
+                gains[i] = g
+        if len(chosen) + -(-rem.bit_count() // max(gains.values())) >= best_size:
             return
-        pick_point = next(k for k in branch_order if (rem >> k) & 1)
+        free, apart = rem, 0  # uncovered points that pairwise share no slice
+        while free:
+            free &= ~touches[(free & -free).bit_length() - 1]
+            apart += 1
+        if len(chosen) + apart >= best_size:
+            return
+        pick_point = (rem & -rem).bit_length() - 1
         options = sorted(point_slices[pick_point], key=lambda i: (-gains[i], slices[i]))
         for i in options:
             chosen.append(i)
-            dfs(covered | masks[i], chosen)
+            dfs(rem & ~masks[i], chosen, gains)
             chosen.pop()
             if len(chosen) + 1 >= best_size:
                 break
 
-    dfs(0, [])
+    dfs(universe, [], range(len(masks)))
     chosen_slices = tuple(sorted(slices[i] for i in best))
     return CoverResult(best_size, chosen_slices)
 

@@ -15,7 +15,12 @@ expands T in the product basis, so the rank reference builds its
 decomposition without the shipped expansion. The slice rank bound reference
 enumerates every subspace tuple on the leading axes and every vector tuple
 in it, and ranks each contracted matrix by its row span; the basis-only
-reference next to it is the weaker bound shipped before. The dual family
+reference next to it is the weaker bound shipped before. The capped rank
+reference is the elimination ``_batch_ranks`` ran before it was trimmed,
+the point reference rebuilds each subspace's point indices on every call
+as the bound did before they were cached, and the cover reference is the
+branch and bound ``min_slice_cover`` ran before it dropped spent slices and
+bounded by points that share no slice. The dual family
 reference completes the rows to an invertible matrix and inverts it by
 elimination; the reduced-basis reference checks row by row. The parse
 references are the per-entry loops the wire-format readers ran before
@@ -45,7 +50,7 @@ from slicerank import (
     verify_certificate,
 )
 from slicerank.linalg import grassmannian
-from slicerank.rank import RankResult
+from slicerank.rank import CoverResult, RankResult, _grassmannian_stack
 from slicerank.errors import FormatError, PreconditionError, VerificationError
 from slicerank.serialize import (
     MAX_DENSE_CELLS,
@@ -384,6 +389,127 @@ def reference_basis_slice_rank_bound(data, p):
         total = sum(sub.codim for sub in subs) + worst
         best = total if best is None else min(best, total)
     return best
+
+
+def reference_batch_ranks(mats, p, cap):
+    """Capped ranks by the elimination ``_batch_ranks`` ran before it was trimmed.
+
+    Every pass compacts the matrices at the cap, tests the whole stack for
+    zero and gathers the lead entry and the pivot row by separate indices.
+    """
+    cap = min(cap, *mats.shape[1:])
+    if cap <= 1:
+        return np.where(mats.any(axis=(1, 2)), cap, 0)
+    if mats.shape[1] < mats.shape[2]:
+        mats = mats.transpose(0, 2, 1)
+    ranks = np.full(len(mats), cap, dtype=np.int64)
+    live = np.arange(len(mats))
+    rank = np.zeros(len(mats), dtype=np.int64)
+    for _ in range(mats.shape[2]):
+        keep = rank < cap
+        if not keep.all():
+            mats, rank, live = mats[keep], rank[keep], live[keep]
+        if not mats.any():
+            break
+        col = mats[:, :, 0]
+        pivot = col.argmax(axis=1)
+        every = np.arange(len(mats))
+        lead = col[every, pivot]
+        rank += lead > 0
+        rest = mats[:, :, 1:]
+        pivot_row = rest[every, pivot]
+        scaled = np.maximum(lead, 1)[:, None, None] * rest
+        mats = (scaled - col[:, :, None] * pivot_row[:, None, :]) % p
+    ranks[live] = np.minimum(rank, cap)
+    return ranks
+
+
+def reference_subspace_points(p, n, dim, step):
+    """Point indices of each subspace, rebuilt on every call as before the tables were cached."""
+    if dim == 0:
+        yield np.zeros((1, 0), dtype=np.int64)
+        return
+    weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = _grassmannian_stack(p, n, 1)[:, :, 0] @ weights
+    order = np.argsort(codes)
+    ordered = codes[order]
+    coeffs = _grassmannian_stack(p, dim, 1)[:, :, 0]
+    stack = _grassmannian_stack(p, n, dim)
+    for k0 in range(0, len(stack), step):
+        bases = stack[k0 : k0 + step]
+        vecs = (coeffs @ bases.transpose(2, 0, 1).reshape(dim, -1)) % p
+        found = vecs.reshape(len(coeffs), len(bases), n) @ weights
+        yield order[np.searchsorted(ordered, found.T)]
+
+
+def reference_min_slice_cover(t: Tensor) -> CoverResult:
+    """Minimum slice cover by the branch and bound ``min_slice_cover`` ran before.
+
+    Its only prune is the uncovered points over the largest gain, and every
+    node recounts the gain of every slice, spent ones included.
+    """
+    points = [tuple(int(i) for i in idx) for idx in np.argwhere(t.data)]
+    if not points:
+        return CoverResult(0, ())
+    index_of = {pt: i for i, pt in enumerate(points)}
+    universe = (1 << len(points)) - 1
+
+    slices: list[tuple[int, int]] = []
+    masks: list[int] = []
+    for axis in range(t.order):
+        for x in range(t.shape[axis]):
+            mask = 0
+            for pt in points:
+                if pt[axis] == x:
+                    mask |= 1 << index_of[pt]
+            if mask:
+                slices.append((axis, x))
+                masks.append(mask)
+
+    # greedy cover for the initial upper bound
+    best: list[int] = []
+    covered = 0
+    while covered != universe:
+        gain, pick = 0, -1
+        for i, m in enumerate(masks):
+            g = (m & ~covered).bit_count()
+            if g > gain:
+                gain, pick = g, i
+        best.append(pick)
+        covered |= masks[pick]
+    best_size = len(best)
+
+    point_slices = [
+        [i for i, m in enumerate(masks) if (m >> k) & 1] for k in range(len(points))
+    ]
+    # every slice through an uncovered point still gains it, so the point
+    # to branch on, the uncovered one with the fewest slices (the first of
+    # them), is the first uncovered one in this order
+    branch_order = sorted(range(len(points)), key=lambda k: len(point_slices[k]))
+
+    def dfs(covered: int, chosen: list[int]) -> None:
+        nonlocal best, best_size
+        if covered == universe:
+            if len(chosen) < best_size:
+                best = list(chosen)
+                best_size = len(chosen)
+            return
+        rem = universe & ~covered
+        gains = [(m & rem).bit_count() for m in masks]  # new points per slice
+        if len(chosen) + -(-rem.bit_count() // max(gains)) >= best_size:
+            return
+        pick_point = next(k for k in branch_order if (rem >> k) & 1)
+        options = sorted(point_slices[pick_point], key=lambda i: (-gains[i], slices[i]))
+        for i in options:
+            chosen.append(i)
+            dfs(covered | masks[i], chosen)
+            chosen.pop()
+            if len(chosen) + 1 >= best_size:
+                break
+
+    dfs(0, [])
+    chosen_slices = tuple(sorted(slices[i] for i in best))
+    return CoverResult(best_size, chosen_slices)
 
 
 def reference_dual_family(vectors: FieldMatrix) -> FieldMatrix:

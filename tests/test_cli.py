@@ -8,12 +8,14 @@ from helpers import random_decomposition
 from slicerank.cli import build_parser, main
 from slicerank.serialize import decomposition_to_obj, dump_json, tensor_to_obj
 from slicerank import (
+    BlockStructure,
     PrimeField,
     Tensor,
     diagonal_tensor,
     direct_sum,
     evaluate_decomposition,
     levi_civita,
+    random_block_upper_triangular,
 )
 
 GF3 = PrimeField(3)
@@ -624,3 +626,54 @@ def test_cover_stdout_digest_is_pinned(tmp_path, capsys):
         digest.update(out.encode())
     assert exact == {True, False}
     assert digest.hexdigest() == COVER_CORPUS_SHA256
+
+
+def _walk_corpus():
+    """(name, tensor, extra argv) for the pinned digest of searches that walk at a known sigma.
+
+    Upper-triangular 3x3x3 tensors with 1,1,1 blocks, dense 2x3x4 tensors
+    over GF(3) and sums of slice terms: on these the bound or the least
+    flattening rank proves sigma, but the canonical certificate is not the
+    all-full prefix tuple, so the search must still locate it. Some run
+    with budgets below, at and above sigma.
+    """
+    rng = np.random.default_rng(31415)
+    fields = {p: PrimeField(p) for p in (2, 3)}
+    blocks = BlockStructure(((1, 1, 1),) * 3)
+    corpus = []
+
+    def add(name, t, *extra):
+        corpus.append((f"{len(corpus):02d}-{name}", t, extra))
+
+    for p in (2, 3):
+        for _ in range(8):
+            add("triangular", random_block_upper_triangular(fields[p], blocks, rng))
+    for _ in range(8):
+        add("dense", Tensor(fields[3], (2, 3, 4), rng.integers(0, 3, size=(2, 3, 4))))
+    for p, shape, count in [(3, (4, 4, 4), 4), (2, (4, 4, 4), 2), (2, (3, 3, 3, 3), 2)]:
+        for _ in range(count):
+            dec = random_decomposition(rng, fields[p], shape, max_terms_per_axis=1)
+            add("slice-terms", evaluate_decomposition(dec))
+    for name, t, _ in [corpus[k] for k in (3, 8, 16, 24, 28, 30)]:
+        for budget in ("1", "2", "3"):
+            add(f"budget-{name}", t, "--budget", budget)
+    return corpus
+
+
+# SHA-256 of the concatenated stdout of `slicerank rank` over _walk_corpus,
+# pinned like RANK_CORPUS_SHA256: a search that skips prefixes on its way
+# to the canonical certificate must still return that certificate
+WALK_CORPUS_SHA256 = "8175807166615e65fa1b36ce0264d6f4edc963fecfb56cae9c35282050bdb046"
+
+
+def test_walk_stdout_digest_is_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    corpus = _walk_corpus()
+    assert len(corpus) == 50
+    for name, t, extra in corpus:
+        path = tmp_path / f"{name}.json"
+        dump_json(tensor_to_obj(t), str(path))
+        code, out, err = run(capsys, "rank", "-i", str(path), *extra)
+        assert code in (0, 6) and not err, (name, code, err)
+        digest.update(out.encode())
+    assert digest.hexdigest() == WALK_CORPUS_SHA256
