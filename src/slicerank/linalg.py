@@ -15,8 +15,8 @@ subspace equality a structural comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, product
+from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -60,8 +60,12 @@ class PrimeField:
         return (-int(a)) % self.p
 
     def residues(self, data) -> np.ndarray:
-        """Copy arbitrary integer data into a reduced int64 array."""
-        return np.array(data, dtype=np.int64) % self.p
+        """Copy arbitrary integer data into a reduced int64 array.
+
+        The reduction itself makes the fresh array, so ``data`` is read
+        without a copy of its own.
+        """
+        return np.asarray(data, dtype=np.int64) % self.p
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -209,12 +213,29 @@ def _check_reduced(rows: np.ndarray) -> None:
         last = c
 
 
+class AxisProjection(NamedTuple):
+    """A reduced basis R with pivot columns P, as one axis of an expansion needs it.
+
+    ``proj`` is the n x n matrix with R's rows at P and zero rows
+    elsewhere, ``free`` the columns outside P in increasing order, and row
+    i of ``units`` is u_f = e_f - sum_j R[j, f] e_P[j] for f = free[i],
+    so that I - proj is zero at P and holds u_f at each free column f.
+    All three are read-only.
+    """
+
+    proj: np.ndarray
+    free: np.ndarray
+    units: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of GF(p)^n stored as a reduced-echelon row basis.
 
     The canonical basis makes equality structural: two Subspace values are
-    equal exactly when they describe the same subspace.
+    equal exactly when they describe the same subspace. ``projection`` is
+    computed from the basis on first use and kept, so a subspace shared
+    through ``grassmannian`` builds it once per process.
     """
 
     field: PrimeField
@@ -239,6 +260,19 @@ class Subspace:
     @property
     def codim(self) -> int:
         return self.ambient_dim - self.dim
+
+    @cached_property
+    def projection(self) -> AxisProjection:
+        """The basis as ``decomposition_from_certificate`` expands along it."""
+        rows, n, p = self.basis.data, self.ambient_dim, self.field.p
+        pivots = (rows != 0).argmax(axis=1) if n else np.zeros(0, dtype=np.intp)
+        proj = np.zeros((n, n), dtype=np.int64)
+        proj[pivots] = rows
+        free = np.flatnonzero(~proj.any(axis=1))
+        # row f of proj is zero, so u_f is 1 at f and -proj[:, f] elsewhere
+        units = (-proj[:, free].T) % p
+        units[np.arange(len(free)), free] = 1
+        return AxisProjection(_freeze(proj), _freeze(free), _freeze(units))
 
     @classmethod
     def from_rows(cls, field: PrimeField, rows, ambient_dim: Optional[int] = None) -> "Subspace":
@@ -393,6 +427,30 @@ def count_subspaces(n: int, p: int) -> int:
     return sum(gaussian_binomial(n, k, p) for k in range(n + 1))
 
 
+@lru_cache(maxsize=None)
+def _grassmannian_stack(p: int, ambient_dim: int, dim: int) -> np.ndarray:
+    """All dim-dimensional reduced bases, transposed and stacked as (count, n, dim).
+
+    Read-only and memoized. Built one pivot-column profile at a time, the
+    profiles in lexicographic order: every basis of a profile has 1 at row
+    i, column pivots[i], and its free entries (right of each row's pivot,
+    outside the pivot columns) take every value in odometer order, the
+    last free entry moving fastest, all in one array assignment.
+    """
+    n, k = ambient_dim, dim
+    blocks = []
+    for pivots in combinations(range(n), k):
+        pivot_set = set(pivots)
+        free = [(j, i) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivot_set]
+        block = np.zeros((p ** len(free), n, k), dtype=np.int64)
+        block[:, pivots, range(k)] = 1
+        if free:
+            cols, rows = zip(*free)
+            block[:, cols, rows] = np.indices((p,) * len(free)).reshape(len(free), -1).T
+        blocks.append(block)
+    return _freeze(np.concatenate(blocks))
+
+
 def enumerate_subspaces(field: PrimeField, ambient_dim: int, dim: int) -> Iterator[Subspace]:
     """All dim-dimensional subspaces of GF(p)^ambient_dim, canonically ordered.
 
@@ -400,21 +458,12 @@ def enumerate_subspaces(field: PrimeField, ambient_dim: int, dim: int) -> Iterat
     lexicographic order), then by the free entries counting in odometer
     order with the last free position moving fastest. The enumeration is
     duplicate-free and stable, so "first subspace found" is well defined.
+    The bases are the rows of ``_grassmannian_stack``, in its order.
     """
-    n, k, p = ambient_dim, dim, field.p
-    if not 0 <= k <= n:
-        raise PreconditionError(f"dimension {k} out of range for ambient {n}")
-    for pivots in combinations(range(n), k):
-        pivot_set = set(pivots)
-        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivot_set]
-        base = np.zeros((k, n), dtype=np.int64)
-        for i, c in enumerate(pivots):
-            base[i, c] = 1
-        for values in product(range(p), repeat=len(free)):
-            mat = base.copy()
-            for (i, j), v in zip(free, values):
-                mat[i, j] = v
-            yield Subspace(field, n, FieldMatrix(field, mat))
+    if not 0 <= dim <= ambient_dim:
+        raise PreconditionError(f"dimension {dim} out of range for ambient {ambient_dim}")
+    for basis in _grassmannian_stack(field.p, ambient_dim, dim):
+        yield Subspace(field, ambient_dim, FieldMatrix(field, basis.T))
 
 
 @lru_cache(maxsize=None)

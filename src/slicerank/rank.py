@@ -17,7 +17,10 @@ replace it: the tuple kept is the first of the least total, which makes it
 the first certificate in (rank, composition, subspace) order. Each prefix
 axis is contracted against all its candidate bases in one batched product,
 and the ranks of A come from one batched elimination mod p, a block of at
-most ``_BLOCK_CELLS`` cells at a time.
+most ``_BLOCK_CELLS`` cells at a time. The candidate bases of each field,
+ambient dimension and subspace dimension are stacked once per process,
+built whole from their pivot profiles (``linalg._grassmannian_stack``);
+Subspace values are made only for the d subspaces of the certificate.
 
 The walk starts from the least rank of a flattening of T, an attained
 total, and stops at a total proven least. The proof is the Sawin-Tao
@@ -50,7 +53,16 @@ and projects the array onto the basis rows, placed at their pivots;
 after the last axis what remains is T contracted by every certificate
 basis, embedded injectively. The certificate annihilates T exactly when
 that remainder is zero, so checking it is the verification, at no cost
-beyond the d projections.
+beyond the d projections. The projection matrix, the free columns and the
+term vectors of each basis are kept on its subspace
+(``Subspace.projection``), and the certificate's subspaces come from the
+memoized ``grassmannian`` tuples, so repeated searches over one shape
+share them.
+
+The slice cover (``min_slice_cover``) is a separate branch and bound over
+the support; it counts its search nodes and refuses past
+``COVER_NODE_LIMIT`` of them, as the search refuses past its enumeration
+limit.
 
 Everything is deterministic: identical inputs give identical certificates,
 decompositions, and byte-identical serialized output.
@@ -59,7 +71,7 @@ decompositions, and byte-identical serialized output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 from typing import NamedTuple, Optional, Sequence
 
@@ -72,6 +84,7 @@ from .linalg import (
     annihilator,
     count_subspaces,
     grassmannian,
+    _grassmannian_stack,
     _row_reduce,
 )
 from .tensor import (
@@ -83,6 +96,10 @@ from .tensor import (
 )
 
 DEFAULT_ENUMERATION_LIMIT = 10**8
+
+# min_slice_cover refuses (EnumerationLimitError) once its branch and bound
+# has visited more than this many nodes.
+COVER_NODE_LIMIT = 10**6
 
 # The walk builds and reduces its partial contractions in blocks of at most
 # this many array cells, which bounds its memory.
@@ -113,11 +130,11 @@ class DualCertificate:
     def field(self):
         return self.subspaces[0].field
 
-    @property
+    @cached_property
     def bound(self) -> int:
         return sum(s.codim for s in self.subspaces)
 
-    @property
+    @cached_property
     def ambient_shape(self) -> tuple[int, ...]:
         return tuple(s.ambient_dim for s in self.subspaces)
 
@@ -174,13 +191,6 @@ def verify_certificate(t: Tensor, c: DualCertificate) -> bool:
 def enumeration_size(shape: Sequence[int], p: int) -> int:
     """Worst-case number of subspace tuples for a shape, all dimensions."""
     return prod(count_subspaces(n, p) for n in shape)
-
-
-@lru_cache(maxsize=None)
-def _grassmannian_stack(p: int, ambient_dim: int, dim: int) -> np.ndarray:
-    """All canonical bases of one dimension, transposed and stacked as (count, n, dim)."""
-    subs = grassmannian(p, ambient_dim, dim)
-    return np.ascontiguousarray(np.stack([s.basis.data.T for s in subs]))
 
 
 def _batch_ranks(mats: np.ndarray, p: int, cap: int) -> np.ndarray:
@@ -454,10 +464,11 @@ def _canonical_certificate(
     # axis, full spaces on the others), so the least one bounds sigma. A
     # tensor has rank 1 exactly when some flattening does, so a least
     # flattening rank of at most 2 is sigma itself. Zero padding to a
-    # common shape keeps every rank.
+    # common shape keeps every rank, and so does the column order, which
+    # swapaxes leaves permuted; neither does ker A, read off the last one.
     mats = np.zeros((d, max(shape), data.size // min(shape)), dtype=np.int64)
     for axis, n in enumerate(shape):
-        mats[axis, :n, : data.size // n] = np.moveaxis(data, axis, 0).reshape(n, -1)
+        mats[axis, :n, : data.size // n] = np.swapaxes(data, axis, 0).reshape(n, -1)
     ranks = _batch_ranks(mats, p, limit + 1)
     seed = int(ranks.min())
     limit = min(limit, seed)
@@ -625,7 +636,10 @@ def decomposition_from_certificate(t: Tensor, c: DualCertificate) -> SliceDecomp
     pivot columns P, and proj the n x n matrix with R's rows at P and zero
     rows elsewhere. I - proj is zero at the columns P and holds u_f = e_f -
     sum_i R[i, f] e_P[i] at each free column f, so an array is the sum over
-    f of u_f x (its slice at f) plus its image under proj. With arr
+    f of u_f x (its slice at f) plus its image under proj. Each subspace
+    keeps proj, its free columns and the u_f (``Subspace.projection``), so
+    a certificate from the shared ``grassmannian`` tuples builds them once
+    per process and an expansion builds no matrix of its own. With arr
     starting as T, each axis gives one term per free column, in index
     order, and then replaces arr by its image under proj; a full basis is
     the identity, so an axis of codimension 0 is skipped. After the last
@@ -642,12 +656,9 @@ def decomposition_from_certificate(t: Tensor, c: DualCertificate) -> SliceDecomp
     for axis, sub in enumerate(c.subspaces):
         if not sub.codim:
             continue
-        rows, n = sub.basis.data, sub.ambient_dim
-        proj = np.zeros((n, n), dtype=np.int64)
-        proj[[int(np.flatnonzero(row)[0]) for row in rows]] = rows
-        comp = (np.eye(n, dtype=np.int64) - proj) % p
-        for f in np.flatnonzero(comp.any(axis=0)):
-            terms.append(SliceTerm(axis, comp[:, f], np.take(arr, f, axis)))
+        proj, free, units = sub.projection
+        for f, u in zip(free, units):
+            terms.append(SliceTerm(axis, u, np.take(arr, f, axis)))
         arr = mode_product(arr, proj, axis, p)
     if arr.any():
         raise VerificationError("certificate does not verify against the tensor")
@@ -671,7 +682,9 @@ def min_slice_cover(t: Tensor) -> CoverResult:
     covers two of them. Either cuts only subtrees that hold no strictly
     smaller cover, so the cover returned is the first least one the tree
     meets. Slices that cover no uncovered point are dropped as the tree
-    descends.
+    descends. Every call of the search counts as one node, and a search
+    that passes ``COVER_NODE_LIMIT`` nodes raises EnumerationLimitError,
+    so the work is bounded by a count, not by the machine.
     """
     points = [tuple(int(i) for i in idx) for idx in np.argwhere(t.data)]
     if not points:
@@ -715,8 +728,15 @@ def min_slice_cover(t: Tensor) -> CoverResult:
         for i in options:
             touches[k] |= masks[i]
 
+    nodes = 0
+
     def dfs(rem: int, chosen: list[int], live) -> None:
-        nonlocal best, best_size
+        nonlocal best, best_size, nodes
+        nodes += 1
+        if nodes > COVER_NODE_LIMIT:
+            raise EnumerationLimitError(
+                f"slice cover search exceeds {COVER_NODE_LIMIT} nodes for shape {t.shape}"
+            )
         if not rem:
             if len(chosen) < best_size:
                 best = list(chosen)

@@ -5,12 +5,19 @@ row-major integer array with entries in [0, p). Order d >= 2 is enforced at
 construction; order-1 values only ever appear as contraction results and
 are returned as plain vectors. Indices are 0-based everywhere inside the
 package; file formats and the CLI use 1-based indices.
+
+Block structures keep their shape and block offsets once computed. The
+block upper triangular check is one entrywise mask built from each axis's
+block numbers, and the random block upper triangular generator visits
+only the nondecreasing block indices, in lexicographic order, so neither
+loops over all k^d block indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product as iter_product
+from functools import cached_property
+from itertools import accumulate, combinations_with_replacement, permutations
 from math import prod
 from typing import NamedTuple, Sequence, Union
 
@@ -71,7 +78,11 @@ class Tensor:
 
 @dataclass(frozen=True)
 class BlockStructure:
-    """Consecutive block sizes per axis, the same block count k on every axis."""
+    """Consecutive block sizes per axis, the same block count k on every axis.
+
+    ``shape`` and ``offsets`` are computed from the sizes on first use and
+    kept; they are not fields, so equality and hashing see only the sizes.
+    """
 
     sizes: tuple[tuple[int, ...], ...]
 
@@ -97,16 +108,14 @@ class BlockStructure:
     def num_blocks(self) -> int:
         return len(self.sizes[0])
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(sum(axis) for axis in self.sizes)
 
-    def offsets(self, axis: int) -> tuple[int, ...]:
-        """Start offset of every block on one axis (length k + 1)."""
-        out = [0]
-        for s in self.sizes[axis]:
-            out.append(out[-1] + s)
-        return tuple(out)
+    @cached_property
+    def offsets(self) -> tuple[tuple[int, ...], ...]:
+        """Per axis, the start offset of every block and then the axis length (k + 1 each)."""
+        return tuple(tuple(accumulate(axis, initial=0)) for axis in self.sizes)
 
     def block_slices(self, alpha: Sequence[int]) -> tuple[slice, ...]:
         if len(alpha) != self.order:
@@ -115,7 +124,7 @@ class BlockStructure:
         for axis, a in enumerate(alpha):
             if not 0 <= a < self.num_blocks:
                 raise PreconditionError(f"block index {a} out of range on axis {axis}")
-            off = self.offsets(axis)
+            off = self.offsets[axis]
             sl.append(slice(off[a], off[a + 1]))
         return tuple(sl)
 
@@ -250,9 +259,8 @@ def block_component(t: Tensor, blocks: BlockStructure, alpha: Sequence[int]) -> 
         raise PreconditionError(
             f"block structure shape {blocks.shape} does not match tensor shape {t.shape}"
         )
-    sl = blocks.block_slices(alpha)
-    sub = t.data[sl]
-    return Tensor(t.field, sub.shape, sub.copy())
+    sub = t.data[blocks.block_slices(alpha)]
+    return Tensor(t.field, sub.shape, sub)  # the reduction copies the view
 
 
 def embed_block(t_block: Tensor, blocks: BlockStructure, alpha: Sequence[int]) -> Tensor:
@@ -290,16 +298,21 @@ def support_and_antichain(t: Tensor) -> SupportInfo:
 
 
 def is_block_upper_triangular(t: Tensor, blocks: BlockStructure) -> bool:
-    """True iff every nonzero block component has a nondecreasing block index."""
+    """True iff every nonzero block component has a nondecreasing block index.
+
+    Checked entrywise with one mask: each axis maps its indices to their
+    block numbers, and an entry lies outside the allowed components
+    exactly when some axis's block number exceeds the next axis's.
+    """
     if blocks.shape != t.shape:
         raise PreconditionError("block structure does not match tensor shape")
-    k = blocks.num_blocks
-    for alpha in iter_product(range(k), repeat=t.order):
-        if all(alpha[i] <= alpha[i + 1] for i in range(len(alpha) - 1)):
-            continue
-        if t.data[blocks.block_slices(alpha)].any():
-            return False
-    return True
+    d, k = t.order, blocks.num_blocks
+    block_of = [np.repeat(np.arange(k), axis) for axis in blocks.sizes]
+    outside = np.zeros(t.shape, dtype=bool)
+    for i in range(d - 1):
+        descent = block_of[i][:, None] > block_of[i + 1][None, :]
+        outside |= descent.reshape((1,) * i + descent.shape + (1,) * (d - i - 2))
+    return not t.data[outside].any()
 
 
 def evaluate_decomposition(dec: SliceDecomposition) -> Tensor:
@@ -389,12 +402,13 @@ def random_tensor(field: PrimeField, shape: Sequence[int], rng: np.random.Genera
 def random_block_upper_triangular(
     field: PrimeField, blocks: BlockStructure, rng: np.random.Generator
 ) -> Tensor:
-    """Random tensor with support confined to nondecreasing block components."""
+    """Random tensor with support confined to nondecreasing block components.
+
+    The components are filled in lexicographic order of their block index,
+    one draw each.
+    """
     data = np.zeros(blocks.shape, dtype=np.int64)
-    k = blocks.num_blocks
-    for alpha in iter_product(range(k), repeat=blocks.order):
-        if all(alpha[i] <= alpha[i + 1] for i in range(len(alpha) - 1)):
-            sl = blocks.block_slices(alpha)
-            size = tuple(s.stop - s.start for s in sl)
-            data[sl] = rng.integers(0, field.p, size=size)
+    for alpha in combinations_with_replacement(range(blocks.num_blocks), blocks.order):
+        sl = blocks.block_slices(alpha)
+        data[sl] = rng.integers(0, field.p, size=data[sl].shape)
     return Tensor(field, blocks.shape, data)

@@ -12,24 +12,30 @@ composition, subspace) order by construction; both check the walk of
 ``decomposition_from_certificate`` ran before it telescoped: it verifies the
 certificate first, completes each basis and inverts it by elimination, and
 expands T in the product basis, so the rank reference builds its
-decomposition without the shipped expansion. The slice rank bound reference
-enumerates every subspace tuple on the leading axes and every vector tuple
-in it, and ranks each contracted matrix by its row span; the basis-only
-reference next to it is the weaker bound shipped before. The capped rank
-reference is the elimination ``_batch_ranks`` ran before it was trimmed,
-the point reference rebuilds each subspace's point indices on every call
-as the bound did before they were cached, and the cover reference is the
-branch and bound ``min_slice_cover`` ran before it dropped spent slices and
-bounded by points that share no slice. The dual family
-reference completes the rows to an invertible matrix and inverts it by
-elimination; the reduced-basis reference checks row by row. The parse
-references are the per-entry loops the wire-format readers ran before
-they checked in bulk; they share only the field and shape helpers with
-``serialize``.
+decomposition without the shipped expansion; the projection reference builds
+one axis of the telescoped expansion from the basis on every call, as it did
+before ``Subspace.projection`` kept it. The stack reference is the loop
+``enumerate_subspaces`` ran before the subspace stacks were built whole,
+each pivot and free entry written on its own. The block references loop over
+every block index, as ``is_block_upper_triangular`` and
+``random_block_upper_triangular`` did before the mask and the
+nondecreasing-index enumeration. The slice rank bound reference enumerates
+every subspace tuple on the leading axes and every vector tuple in it, and
+ranks each contracted matrix by its row span; the basis-only reference next
+to it is the weaker bound shipped before. The capped rank reference is the
+elimination ``_batch_ranks`` ran before it was trimmed, the point reference
+rebuilds each subspace's point indices on every call as the bound did before
+they were cached, and the cover reference is the branch and bound
+``min_slice_cover`` ran before it dropped spent slices and bounded by points
+that share no slice. The dual family reference completes the rows to an
+invertible matrix and inverts it by elimination; the reduced-basis reference
+checks row by row. The parse references are the per-entry loops the
+wire-format readers ran before they checked in bulk; they share only the
+field and shape helpers with ``serialize``.
 """
 
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -337,6 +343,63 @@ def reference_decomposition_from_certificate(t: Tensor, c: DualCertificate) -> S
             u = primal[axis][:, col].copy()
             terms.append(SliceTerm(axis, u, out))
     return SliceDecomposition(t.field, t.shape, tuple(terms))
+
+
+def reference_axis_projection(sub: Subspace):
+    """(proj, free columns, u_f rows) of a basis, built as the expansion did before caching them."""
+    rows, n, p = sub.basis.data, sub.ambient_dim, sub.field.p
+    proj = np.zeros((n, n), dtype=np.int64)
+    proj[[int(np.flatnonzero(row)[0]) for row in rows]] = rows
+    comp = (np.eye(n, dtype=np.int64) - proj) % p
+    free = np.flatnonzero(comp.any(axis=0))
+    return proj, free, comp[:, free].T
+
+
+def reference_grassmannian_stack(p, n, k):
+    """All k-dimensional reduced bases as (count, n, k), from the loop of ``enumerate_subspaces``.
+
+    Pivot profiles in lexicographic order, then the free entries in the
+    odometer order of ``itertools.product``, the last one fastest; each
+    pivot and each free entry is written on its own, as the per-basis loop
+    did before the subspace stacks were built whole.
+    """
+    blocks = []
+    for pivots in combinations(range(n), k):
+        pivot_set = set(pivots)
+        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivot_set]
+        values = list(product(range(p), repeat=len(free)))
+        block = np.zeros((len(values), k, n), dtype=np.int64)
+        for i, c in enumerate(pivots):
+            block[:, i, c] = 1
+        for pos, (i, j) in enumerate(free):
+            block[:, i, j] = [v[pos] for v in values]
+        blocks.append(block.transpose(0, 2, 1))
+    return np.concatenate(blocks)
+
+
+def reference_is_block_upper_triangular(t: Tensor, blocks: BlockStructure) -> bool:
+    """The block check as a loop over every block index, as shipped before the mask."""
+    if blocks.shape != t.shape:
+        raise PreconditionError("block structure does not match tensor shape")
+    k = blocks.num_blocks
+    for alpha in product(range(k), repeat=t.order):
+        if all(alpha[i] <= alpha[i + 1] for i in range(len(alpha) - 1)):
+            continue
+        if t.data[blocks.block_slices(alpha)].any():
+            return False
+    return True
+
+
+def reference_random_block_upper_triangular(field: PrimeField, blocks: BlockStructure, rng) -> Tensor:
+    """Random block upper triangular tensor, filtering every block index as before."""
+    data = np.zeros(blocks.shape, dtype=np.int64)
+    k = blocks.num_blocks
+    for alpha in product(range(k), repeat=blocks.order):
+        if all(alpha[i] <= alpha[i + 1] for i in range(len(alpha) - 1)):
+            sl = blocks.block_slices(alpha)
+            size = tuple(s.stop - s.start for s in sl)
+            data[sl] = rng.integers(0, field.p, size=size)
+    return Tensor(field, blocks.shape, data)
 
 
 def reference_slice_rank_bound(data, p):

@@ -367,6 +367,23 @@ def test_additivity_stream(capsys):
     assert out.count('"trial"') == 3
 
 
+def test_rank_method_cover_refuses_past_the_node_budget(tmp_path, capsys, monkeypatch):
+    from slicerank import rank
+
+    # 24 points of a 10x10x10 support: its cover search takes 50 nodes
+    rng = np.random.default_rng(1)
+    data = np.zeros((10, 10, 10), dtype=np.int64)
+    data.reshape(-1)[rng.choice(1000, size=24, replace=False)] = 1
+    path = str(tmp_path / "support.json")
+    dump_json(tensor_to_obj(Tensor(PrimeField(2), (10, 10, 10), data)), path)
+    monkeypatch.setattr(rank, "COVER_NODE_LIMIT", 10)
+    code, out, err = run(capsys, "rank", "-i", path, "--method", "cover")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: slice cover search exceeds 10 nodes")
+    monkeypatch.setattr(rank, "COVER_NODE_LIMIT", 50)
+    assert run(capsys, "rank", "-i", path, "--method", "cover")[0] == 0
+
+
 def test_additivity_refuses_shapes_beyond_the_limit(capsys):
     # each 3x3x3 summand is fine, but the 6x6x6 sum exceeds the default
     # enumeration limit, so the harness reports the refusal honestly

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -11,7 +12,9 @@ from helpers import (
     brute_matrix_rank,
     random_matrix,
     random_subspace,
+    reference_axis_projection,
     reference_check_reduced,
+    reference_grassmannian_stack,
     span_tuples,
     subspace_tuples,
 )
@@ -33,6 +36,7 @@ from slicerank import (
     matrix_rank,
     solve_right,
 )
+from slicerank.linalg import _grassmannian_stack, grassmannian
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -288,6 +292,36 @@ def test_subspace_counts_against_span_enumeration(p, n):
                 for r3 in vectors:
                     seen.add(span_tuples(np.vstack([r1, r2, r3]), p))
     assert len(seen) == count_subspaces(n, p)
+
+
+def test_grassmannian_stack_matches_per_basis_reference():
+    for p in (2, 3, 5, 7):
+        for n in range(6):
+            for k in range(n + 1):
+                stack = _grassmannian_stack(p, n, k)
+                assert stack.shape == (gaussian_binomial(n, k, p), n, k)
+                assert np.array_equal(stack, reference_grassmannian_stack(p, n, k)), (p, n, k)
+                assert not stack.flags.writeable
+
+
+def test_projection_is_cached_read_only_and_matches_reference():
+    rng = np.random.default_rng(77)
+    subs = [sub for k in range(5) for sub in grassmannian(3, 4, k)]
+    subs += [random_subspace(rng, field, n) for field in (GF2, GF5) for n in (0, 1, 3, 5)]
+    for sub in subs:
+        proj = sub.projection
+        assert sub.projection is proj
+        for got, want in zip(proj, reference_axis_projection(sub)):
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert not got.flags.writeable
+        # the u_f are the completion columns of the inverse of the completed basis
+        if sub.ambient_dim:
+            inverse = invert_matrix(complete_basis(sub)).data
+            assert np.array_equal(proj.units, inverse[:, sub.dim :].T)
+    with pytest.raises(ValueError):
+        subs[1].projection.proj[0, 0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        subs[1].projection = None
 
 
 def test_enumerate_ambient_zero():

@@ -448,6 +448,30 @@ def test_cover_matches_reference_branch_and_bound():
     assert count == 320
 
 
+def test_cover_node_budget_is_a_deterministic_count(monkeypatch):
+    # every search node counts against COVER_NODE_LIMIT, so the least
+    # budget a cover fits in is a property of the support: one node less
+    # refuses, and the cover found within it is the unbudgeted one
+    rng = np.random.default_rng(1)
+    data = np.zeros((10, 10, 10), dtype=np.int64)
+    data.reshape(-1)[rng.choice(1000, size=24, replace=False)] = 1
+    t = Tensor(GF2, (10, 10, 10), data)
+    full = min_slice_cover(t)
+    nodes = 1
+    while True:
+        monkeypatch.setattr(rank, "COVER_NODE_LIMIT", nodes)
+        try:
+            assert min_slice_cover(t) == full
+            break
+        except EnumerationLimitError:
+            nodes += 1
+    assert nodes == 50
+    monkeypatch.setattr(rank, "COVER_NODE_LIMIT", nodes - 1)
+    for search in (min_slice_cover, rank_via_cover):
+        with pytest.raises(EnumerationLimitError, match="slice cover"):
+            search(t)
+
+
 def test_rank_via_cover_flags():
     eps_result = rank_via_cover(levi_civita(GF3))
     assert eps_result.sigma == 3 and eps_result.exact and eps_result.method == "cover"
@@ -801,22 +825,30 @@ def test_least_rank_pass_memory_stays_small(monkeypatch):
     # 2667 subspaces of dimension 5 on axis 0: 0.05 MB here, 0.66 MB with
     # their points in one block. On the 7x3x3 sum of slice terms the walk
     # filters the 127 subspaces of dimension 6 on axis 0 by their largest
-    # point rank (0.05 MB)
+    # point rank (0.05 MB). After that filter no seeded walk here spans
+    # more than one block per composition at the shipped block size, so the
+    # last case shrinks the blocks to 4096 cells: Levi-Civita plus two
+    # diagonal ones over GF(2) (5x5x5, sigma 5) defeats the bound, and its
+    # walk contracts 25 blocks (0.16 MB); in one block per composition it
+    # peaks at 0.61 MB
     import tracemalloc
 
     terms = evaluate_decomposition(random_decomposition(np.random.default_rng(1), GF3, (4, 4, 4)))
     wide = evaluate_decomposition(random_decomposition(np.random.default_rng(0), GF2, (7, 3, 3), 1))
-    cases = [
-        (random_tensor(GF3, (4, 4, 4), np.random.default_rng(61)), 4, False),
-        (terms, 3, True),
-        (random_tensor(GF2, (7, 3, 3), np.random.default_rng(0)), 3, False),
-        (wide, 2, True),
+    levi = direct_sum(levi_civita(GF2), diagonal_tensor(GF2, 2, 2))[0]
+    shipped = rank._BLOCK_CELLS
+    cases = [  # tensor, sigma, least walk blocks (0: no walk), block cells
+        (random_tensor(GF3, (4, 4, 4), np.random.default_rng(61)), 4, 0, shipped),
+        (terms, 3, 1, shipped),
+        (random_tensor(GF2, (7, 3, 3), np.random.default_rng(0)), 3, 0, shipped),
+        (wide, 2, 1, shipped),
+        (levi, 5, 20, 1 << 12),
     ]
     walked = _count_walk_blocks(monkeypatch, 3)
-    for t, sigma, walks in cases:
-        walked[0] = 0
+    for t, sigma, blocks, cells in cases:
+        monkeypatch.setattr(rank, "_BLOCK_CELLS", cells)
         slice_rank_exact(t)  # fill the subspace caches outside the measurement
-        assert (walked[0] > 0) == walks
+        walked[0] = 0
         tracemalloc.start()
         try:
             res = slice_rank_exact(t)
@@ -825,6 +857,7 @@ def test_least_rank_pass_memory_stays_small(monkeypatch):
             tracemalloc.stop()
         assert res.sigma == sigma
         assert peak < 2**19, peak
+        assert walked[0] >= blocks and (walked[0] > 0) == (blocks > 0)
 
 
 # --- rank invariances ---

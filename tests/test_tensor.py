@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import reference_is_block_upper_triangular, reference_random_block_upper_triangular
 from slicerank import (
     BlockStructure,
     PreconditionError,
@@ -257,6 +260,57 @@ def test_block_upper_triangular_flags():
     for _ in range(5):
         t = random_block_upper_triangular(GF2, tri_blocks, rng)
         assert is_block_upper_triangular(t, tri_blocks)
+
+
+def _block_structures(rng, count):
+    """Seeded block structures of orders 2 to 4 with 1 to 3 blocks, zero-size blocks included."""
+    out = [BlockStructure(((0,), (0,))), BlockStructure(((2,), (1,), (3,)))]
+    while len(out) < count:
+        d, k = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        out.append(BlockStructure(tuple(tuple(int(s) for s in rng.integers(0, 3, size=k))
+                                        for _ in range(d))))
+    return out
+
+
+def test_block_helpers_match_loop_references():
+    rng = np.random.default_rng(4242)
+    structures = _block_structures(rng, 40)
+    assert any(0 in axis for b in structures for axis in b.sizes)
+    assert {b.order for b in structures} == {2, 3, 4}
+    seeds, verdicts = 0, set()
+    for blocks in structures:
+        for field in (GF2, GF3):
+            for _ in range(2):
+                seeds += 1  # a fresh seed per draw
+                a, b = np.random.default_rng(seeds), np.random.default_rng(seeds)
+                t = random_block_upper_triangular(field, blocks, a)
+                assert t == reference_random_block_upper_triangular(field, blocks, b)
+                assert a.integers(0, 2**62) == b.integers(0, 2**62)  # same draws taken
+                assert is_block_upper_triangular(t, blocks)
+                assert reference_is_block_upper_triangular(t, blocks)
+                # one entry set anywhere, or a dense tensor, decides the same way
+                others = [random_tensor(field, blocks.shape, rng)]
+                if t.data.size:
+                    data = t.data.copy()
+                    data[tuple(int(rng.integers(0, n)) for n in t.shape)] = 1
+                    others.append(Tensor(field, t.shape, data))
+                for other in others:
+                    verdict = is_block_upper_triangular(other, blocks)
+                    assert verdict == reference_is_block_upper_triangular(other, blocks)
+                    verdicts.add(verdict)
+    assert seeds >= 100 and verdicts == {True, False}
+
+
+def test_block_structure_derived_values_are_not_fields():
+    blocks = BlockStructure(((1, 0, 2), (0, 3, 1)))
+    assert blocks.shape == (3, 4)
+    assert blocks.offsets == ((0, 1, 1, 3), (0, 0, 3, 4))
+    assert blocks.block_slices((2, 1)) == (slice(1, 3), slice(0, 3))
+    assert [f.name for f in dataclasses.fields(BlockStructure)] == ["sizes"]
+    fresh = BlockStructure(((1, 0, 2), (0, 3, 1)))
+    assert fresh == blocks and hash(fresh) == hash(blocks)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        blocks.shape = (1, 1)
 
 
 # --- decomposition evaluation ---
