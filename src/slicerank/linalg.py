@@ -126,18 +126,20 @@ def _row_reduce(data: np.ndarray, p: int, pivot_limit: Optional[int] = None):
     for c in range(limit):
         if r == rows:
             break
-        nz = np.flatnonzero(m[r:, c])
-        if nz.size == 0:
+        # one scan per column: its nonzero rows, the pivot the first at or below r
+        nz = m[:, c].nonzero()[0]
+        k = nz.searchsorted(r)
+        if k == len(nz):
             continue
-        i = r + int(nz[0])
+        i = int(nz[k])
         if i != r:
             m[[r, i]] = m[[i, r]]
         m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        other = np.flatnonzero(col)
-        if other.size:
-            m[other] = (m[other] - np.outer(col[other], m[r])) % p
+        # the other nonzero rows keep their places: row i, now zero, is left out
+        other = nz[nz != i]
+        if len(other):
+            rest = m[other]
+            m[other] = (rest - rest[:, c, None] * m[r]) % p
         pivots.append(c)
         r += 1
     return m, pivots
@@ -317,12 +319,12 @@ def kernel_basis(m: FieldMatrix) -> Subspace:
     p = m.field.p
     red, piv = _row_reduce(m.data, p)
     n = m.cols
-    free = [c for c in range(n) if c not in piv]
+    is_free = np.ones(n, dtype=bool)
+    is_free[piv] = False
+    free = is_free.nonzero()[0]
     vectors = np.zeros((len(free), n), dtype=np.int64)
-    for k, f in enumerate(free):
-        vectors[k, f] = 1
-        for i, c in enumerate(piv):
-            vectors[k, c] = (-red[i, f]) % p
+    vectors[:, free] = np.eye(len(free), dtype=np.int64)
+    vectors[:, piv] = (-red[: len(piv), free].T) % p
     return Subspace.from_rows(m.field, vectors, ambient_dim=n)
 
 

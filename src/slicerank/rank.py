@@ -17,10 +17,12 @@ replace it: the tuple kept is the first of the least total, which makes it
 the first certificate in (rank, composition, subspace) order. Each prefix
 axis is contracted against all its candidate bases in one batched product,
 and the ranks of A come from one batched elimination mod p, a block of at
-most ``_BLOCK_CELLS`` cells at a time. The candidate bases of each field,
-ambient dimension and subspace dimension are stacked once per process,
-built whole from their pivot profiles (``linalg._grassmannian_stack``);
-Subspace values are made only for the d subspaces of the certificate.
+most ``_BLOCK_CELLS`` cells at a time; the elimination holds about four
+arrays of a block's size, so a block peaks near 32 bytes a cell. The
+candidate bases of each field, ambient dimension and subspace dimension
+are stacked once per process, built whole from their pivot profiles
+(``linalg._grassmannian_stack``); Subspace values are made only for the d
+subspaces of the certificate.
 
 The walk starts from the least rank of a flattening of T, an attained
 total, and stops at a total proven least. The proof is the Sawin-Tao
@@ -102,7 +104,11 @@ DEFAULT_ENUMERATION_LIMIT = 10**8
 COVER_NODE_LIMIT = 10**6
 
 # The walk builds and reduces its partial contractions in blocks of at most
-# this many array cells, which bounds its memory.
+# this many int64 cells. That bounds each block, not the walk's peak memory:
+# the elimination of a block (``_batch_ranks``) holds about three more arrays
+# of its size at once, its scaled rows, their product with the pivot rows and
+# the reduction, so a full block of 2**15 cells peaks near 1 MiB, and the
+# blocks of the earlier contracted axes stay alive beneath it.
 _BLOCK_CELLS = 1 << 15
 
 
@@ -306,10 +312,13 @@ def _point_table(p: int, n: int, dim: int) -> np.ndarray:
     A vector is found among the points by its base-p code. Rows come in
     enumeration order, and the table is built a block of subspaces at a
     time, so no temporary exceeds ``_BLOCK_CELLS`` cells by more than one
-    subspace's worth.
+    subspace's worth. The table is kept for the process, so its indices are
+    stored in the narrowest of uint16 and int32 that holds the point count.
     """
+    points = (p**n - 1) // (p - 1)
+    dtype = np.uint16 if points <= 1 << 16 else np.int32
     if dim == 0:
-        table = np.zeros((1, 0), dtype=np.intp)
+        table = np.zeros((1, 0), dtype=dtype)
         table.setflags(write=False)
         return table
     weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -318,7 +327,7 @@ def _point_table(p: int, n: int, dim: int) -> np.ndarray:
     ordered = codes[order]
     coeffs = _grassmannian_stack(p, dim, 1)[:, :, 0]
     stack = _grassmannian_stack(p, n, dim)
-    table = np.empty((len(stack), len(coeffs)), dtype=np.intp)
+    table = np.empty((len(stack), len(coeffs)), dtype=dtype)
     step = max(1, _BLOCK_CELLS // (len(coeffs) * n))
     for k0 in range(0, len(stack), step):
         bases = stack[k0 : k0 + step]

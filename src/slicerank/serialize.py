@@ -9,11 +9,19 @@ one order lower>}, with u entries in [0, p). Certificate files are
 with bases in reduced echelon form; anything non-canonical is rejected with
 a distinct error.
 
+A file whose whole text is a canonical tensor object or decomposition
+array, with the keys in the order above, JSON whitespace only, and integers
+of at most 18 digits (as both ``dump_json`` and ``json.dumps`` write them),
+is read by ``load_json`` straight into int64 columns: a strict grammar
+matches the text, and its numbers are read in one pass. Any other text goes
+through ``json.loads``, with the same checks and the same errors.
+
 Entries, ``u`` vectors and bases are checked in bulk, by type sets and int64
-arrays; only input that fails is walked entry by entry, to name the first
-bad entry in file order. ``load_json`` refuses what is not UTF-8 JSON, nested
-too deep included, and ``dump_json`` an output path it cannot write, both
-with FormatError. Dumps are exactly ``json.dumps(obj, indent=2)`` plus a
+arrays, the columns of a canonical file by the same array checks; only input
+that fails is walked entry by entry, to name the first bad entry in file
+order. ``load_json`` refuses what is not UTF-8 JSON, nested too deep
+included, and ``dump_json`` an output path it cannot write, both with
+FormatError. Dumps are exactly ``json.dumps(obj, indent=2)`` plus a
 newline, written without json's pure-Python indenting encoder, and
 deterministic, so identical inputs serialize byte-identically.
 """
@@ -22,9 +30,11 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from functools import lru_cache
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -110,13 +120,16 @@ def _dense_from_obj(
             f"{MAX_DENSE_CELLS} one file may hold"
         )
     entries = obj.get("entries", [])
-    _require(isinstance(entries, list), "entries must be a list")
+    if type(entries) is _EntryColumns:
+        columns = entries
+    else:
+        _require(isinstance(entries, list), "entries must be a list")
+        columns = _entry_columns(entries, len(shape))
+    found = None if columns is None else _cell_numbers(columns, shape, p)
+    if found is None:
+        _raise_entry_error(entries, shape, p)
     cells = np.zeros(math.prod(shape), dtype=np.int64)
-    if entries:
-        checked = _entry_arrays(entries, shape, p)
-        if checked is None:
-            _raise_entry_error(entries, shape, p)
-        cells[checked[0]] = checked[1]
+    cells[found] = columns.value
     return field, shape, cells.reshape(shape)
 
 
@@ -128,36 +141,55 @@ def _int64(values) -> Optional[np.ndarray]:
         return None
 
 
-def _entry_arrays(entries: list, shape: tuple, p: int):
-    """(C-order cell numbers, values) of the entries if every entry passes, else None.
+class _EntryColumns(NamedTuple):
+    """A tensor's entries as int64 columns: 1-based indices (entries x axes) and values."""
 
-    The checks are those of ``_raise_entry_error``, run over all entries at once.
+    index: np.ndarray
+    value: np.ndarray
+
+
+def _entry_columns(entries: list, d: int) -> Optional[_EntryColumns]:
+    """The decoded entries as columns, or None if one fails a type check.
+
+    Each entry must be an object whose index lists d integers and whose
+    value is an integer, all within int64.
     """
-    n, d = len(entries), len(shape)
-    if set(map(type, entries)) != {dict}:
+    if not set(map(type, entries)) <= {dict}:
         return None
     indices = list(map(dict.get, entries, repeat("index")))
     values = list(map(dict.get, entries, repeat("value")))
-    if set(map(type, indices)) != {list} or set(map(len, indices)) != {d}:
+    if not (set(map(type, indices)) <= {list} and set(map(len, indices)) <= {d}):
         return None
     flat = list(chain.from_iterable(indices))
-    if not set(map(type, flat)) <= {int} or set(map(type, values)) != {int}:
+    if not (set(map(type, flat)) <= {int} and set(map(type, values)) <= {int}):
         return None
-    coords, values = _int64(flat), _int64(values)
-    if coords is None or values is None:
+    index, value = _int64(flat), _int64(values)
+    if index is None or value is None:
         return None
-    coords = coords.reshape(n, d) - 1
+    return _EntryColumns(index.reshape(len(entries), d), value)
+
+
+def _cell_numbers(columns: _EntryColumns, shape: tuple, p: int) -> Optional[np.ndarray]:
+    """C-order cell numbers of the entries if every entry passes, else None.
+
+    The checks are those of ``_raise_entry_error`` past the types, run over
+    all entries at once: indices in range, values residues, no index twice.
+    """
+    coords, values = columns.index - 1, columns.value
     if not (((coords >= 0) & (coords < shape)).all() and ((values >= 0) & (values < p)).all()):
         return None
-    cells = np.zeros(n, dtype=np.int64)
+    cells = np.zeros(len(values), dtype=np.int64)
     for axis, size in enumerate(shape):
         cells = cells * size + coords[:, axis]
     ordered = np.sort(cells)
-    return None if (ordered[1:] == ordered[:-1]).any() else (cells, values)
+    return None if (ordered[1:] == ordered[:-1]).any() else cells
 
 
-def _raise_entry_error(entries: list, shape: tuple, p: int) -> None:
+def _raise_entry_error(entries, shape: tuple, p: int) -> None:
     """Raise the error of the first entry in file order that fails a check."""
+    if type(entries) is _EntryColumns:
+        entries = [{"index": index, "value": value}
+                   for index, value in zip(entries.index.tolist(), entries.value.tolist())]
     seen = set()
     for e in entries:
         _require(type(e) is dict, "each entry must be an object")
@@ -328,14 +360,135 @@ def split_trace_to_obj(trace: SplitTrace) -> dict:
     }
 
 
+# The canonical layouts ``load_json`` reads straight into int64 columns: a
+# tensor object or a decomposition array with exactly the keys the dumps
+# write, in their order, JSON whitespace only, and integers of at most 18
+# digits, which int64 holds. Every repeat is possessive, so a match keeps no
+# backtracking state however many entries it walks.
+_WS = r"[ \t\n\r]*+"
+_SEP = rf"{_WS},{_WS}"
+_INT = r"(?:0|[1-9][0-9]{0,17}+)"
+_LIST = rf"\[{_WS}((?:{_INT}(?:{_SEP}{_INT})*+)?+){_WS}\]"  # one group: the integers
+
+
+def _fields(**values: str) -> str:
+    """An object's opening brace and its keys, in order, with their value patterns."""
+    return r"\{" + _WS + _SEP.join(rf'"{key}"{_WS}:{_WS}{value}' for key, value in values.items())
+
+
+# a tensor object up to its first entry; the last group holds the shape
+_TENSOR_HEAD = _fields(prime=_INT, shape=_LIST, entries=rf"\[{_WS}")
+_TENSOR_FILE = re.compile(_WS + _TENSOR_HEAD)
+_DECOMPOSITION_FILE = re.compile(rf"{_WS}\[{_WS}")
+# a term up to the first entry of its v; the first group holds u
+_TERM_HEAD = re.compile(_fields(axis=_INT, u=_LIST, v=_TENSOR_HEAD))
+# past a term's v: the group matches when another term follows
+_TERM_END = re.compile(rf"\}}{_WS}(?:(,){_WS}|\]{_WS}\Z)")
+_DIGITS_ONLY = bytes(c if 48 <= c <= 57 else 32 for c in range(256))
+
+
+@lru_cache(maxsize=None)
+def _entries_pattern(d: int) -> re.Pattern:
+    """The entries of an order-d tensor, then the end of the tensor object."""
+    index = rf"\[{_WS}{_INT}(?:{_SEP}{_INT}){{{d - 1}}}+{_WS}\]" if d else rf"\[{_WS}\]"
+    entry = _fields(index=index, value=_INT) + rf"{_WS}\}}"
+    return re.compile(rf"(?:{entry}(?:{_SEP}{entry})*+{_WS})?+\]{_WS}\}}{_WS}")
+
+
+def _count(ints: str) -> int:
+    """How many integers a ``_LIST`` group holds."""
+    return ints.count(",") + 1 if ints else 0
+
+
+def _tensor_entries(text: str, head: re.Match) -> Optional[tuple]:
+    """(order, entry count, end) of the tensor whose head matched, or None."""
+    d = _count(head.groups()[-1])
+    if d > MAX_AXES:
+        return None
+    tail = _entries_pattern(d).match(text, head.end())
+    if tail is None:
+        return None
+    # an entry holds the only "{" between the head and the end of the tensor
+    return d, text.count("{", head.end(), tail.end()), tail.end()
+
+
+def _numbers(text: str, count: int) -> Optional[np.ndarray]:
+    """The integers of a text that matched the grammar, or None unless there are ``count``.
+
+    np.fromstring saturates past int64 and reads a blank text as [0]; the
+    grammar rules both out, and the count would refuse them.
+    """
+    numbers = np.fromstring(text.encode("ascii").translate(_DIGITS_ONLY), dtype=np.int64, sep=" ")
+    return numbers if len(numbers) == count else None
+
+
+def _tensor_from_numbers(numbers: np.ndarray, at: int, d: int, n: int) -> tuple:
+    """(tensor object, next position) of the tensor whose numbers start at ``at``."""
+    start, end = at + 1 + d, at + 1 + d + n * (d + 1)
+    rows = numbers[start:end].reshape(n, d + 1)
+    obj = {"prime": int(numbers[at]), "shape": numbers[at + 1 : start].tolist(),
+           "entries": _EntryColumns(rows[:, :d], rows[:, d])}
+    return obj, end
+
+
+def _read_canonical(text: str):
+    """The value of a canonical tensor or decomposition text, else None.
+
+    Each tensor's entries come back as ``_EntryColumns``, every other
+    integer as an int. The whole text must match the grammar; its numbers
+    are then read in one pass.
+    """
+    head = _TENSOR_FILE.match(text)
+    if head is not None:
+        found = _tensor_entries(text, head)
+        if found is None or found[2] != len(text):
+            return None
+        d, n, _ = found
+        numbers = _numbers(text, 1 + d + n * (d + 1))
+        return None if numbers is None else _tensor_from_numbers(numbers, 0, d, n)[0]
+    start = _DECOMPOSITION_FILE.match(text)
+    if start is None:
+        return None
+    layout, at, more = [], start.end(), True  # (u length, order, entry count) per term
+    while more:
+        head = _TERM_HEAD.match(text, at)
+        found = None if head is None else _tensor_entries(text, head)
+        end = None if found is None else _TERM_END.match(text, found[2])
+        if end is None:
+            return None
+        layout.append((_count(head.group(1)), found[0], found[1]))
+        at, more = end.end(), end.group(1) is not None
+    numbers = _numbers(text, sum(2 + k + d + n * (d + 1) for k, d, n in layout))
+    if numbers is None:
+        return None
+    terms, at = [], 0
+    for k, d, n in layout:
+        axis, u = int(numbers[at]), numbers[at + 1 : at + 1 + k].tolist()
+        v, at = _tensor_from_numbers(numbers, at + 1 + k, d, n)
+        terms.append({"axis": axis, "u": u, "v": v})
+    return terms
+
+
 def load_json(path: str):
+    """The JSON value in a file, refused with FormatError if it cannot be read.
+
+    A canonical tensor or decomposition text is read by ``_read_canonical``,
+    any other through ``json.loads``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:  # bad UTF-8
+        raise FormatError(f"invalid JSON in {path}: {exc}") from None
+    canonical = _read_canonical(text)
+    if canonical is not None:
+        return canonical
+    try:
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:
-        # bad syntax, bad UTF-8, an integer of too many digits, or too deep nesting
+        # bad syntax, an integer of too many digits, or too deep nesting
         raise FormatError(f"invalid JSON in {path}: {exc}") from None
 
 

@@ -29,9 +29,11 @@ they were cached, and the cover reference is the branch and bound
 ``min_slice_cover`` ran before it dropped spent slices and bounded by points
 that share no slice. The dual family reference completes the rows to an
 invertible matrix and inverts it by elimination; the reduced-basis reference
-checks row by row. The parse references are the per-entry loops the
-wire-format readers ran before they checked in bulk; they share only the
-field and shape helpers with ``serialize``.
+checks row by row. The row reduction reference scans each column twice with
+``np.flatnonzero``, and the kernel reference writes its vectors entry by
+entry, as both did before they were vectorized. The parse references are
+the per-entry loops the wire-format readers ran before they checked in
+bulk; they share only the field and shape helpers with ``serialize``.
 """
 
 import math
@@ -588,6 +590,47 @@ def reference_dual_family(vectors: FieldMatrix) -> FieldMatrix:
     stacked = np.vstack([vectors.data, full.data[vectors.rows :]])
     inv = invert_matrix(FieldMatrix(vectors.field, stacked))
     return FieldMatrix(vectors.field, inv.data[:, : vectors.rows].T)
+
+
+def reference_row_reduce(data, p, pivot_limit=None):
+    """Gauss-Jordan reduction with two ``np.flatnonzero`` scans per column, as shipped before."""
+    m = data.copy()
+    rows, cols = m.shape
+    limit = cols if pivot_limit is None else pivot_limit
+    pivots = []
+    r = 0
+    for c in range(limit):
+        if r == rows:
+            break
+        nz = np.flatnonzero(m[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
+        col = m[:, c].copy()
+        col[r] = 0
+        other = np.flatnonzero(col)
+        if other.size:
+            m[other] = (m[other] - np.outer(col[other], m[r])) % p
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def reference_kernel_basis(m: FieldMatrix) -> Subspace:
+    """The right kernel with its vectors written entry by entry, as shipped before."""
+    p = m.field.p
+    red, piv = reference_row_reduce(m.data, p)
+    n = m.cols
+    free = [c for c in range(n) if c not in piv]
+    vectors = np.zeros((len(free), n), dtype=np.int64)
+    for k, f in enumerate(free):
+        vectors[k, f] = 1
+        for i, c in enumerate(piv):
+            vectors[k, c] = (-red[i, f]) % p
+    return Subspace.from_rows(m.field, vectors, ambient_dim=n)
 
 
 def reference_check_reduced(rows):

@@ -15,6 +15,8 @@ from helpers import (
     reference_axis_projection,
     reference_check_reduced,
     reference_grassmannian_stack,
+    reference_kernel_basis,
+    reference_row_reduce,
     span_tuples,
     subspace_tuples,
 )
@@ -36,7 +38,7 @@ from slicerank import (
     matrix_rank,
     solve_right,
 )
-from slicerank.linalg import _grassmannian_stack, grassmannian
+from slicerank.linalg import _grassmannian_stack, _row_reduce, grassmannian
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -136,6 +138,38 @@ def test_rank_equals_transpose_rank(m):
 
 
 # --- kernels ---
+
+def _random_matrices(p):
+    """Seeded matrices mod p: tall, wide and square, dense, sparse, and with zero rows."""
+    rng = np.random.default_rng(p)
+    for rows, cols in [(0, 3), (3, 0), (1, 1), (6, 3), (9, 4), (3, 7), (2, 9), (5, 5), (8, 8)]:
+        for trial in range(8):
+            data = rng.integers(0, p, size=(rows, cols))
+            if trial % 2:
+                data *= rng.random((rows, cols)) < 0.3
+            if rows and trial % 4 < 2:
+                data[rng.integers(0, rows, size=rows // 2 + 1)] = 0
+            yield data
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_row_reduce_matches_reference(p):
+    for data in _random_matrices(p):
+        before = data.copy()
+        for limit in (None, data.shape[1] // 2):
+            red, piv = _row_reduce(data, p, limit)
+            ref_red, ref_piv = reference_row_reduce(data, p, limit)
+            assert piv == ref_piv, (data.tolist(), limit)
+            assert red.dtype == ref_red.dtype and np.array_equal(red, ref_red), (data.tolist(), limit)
+        assert np.array_equal(data, before)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_kernel_basis_matches_reference(p):
+    for data in _random_matrices(p):
+        m = FieldMatrix(PrimeField(p), data)
+        assert kernel_basis(m) == reference_kernel_basis(m), data.tolist()
+
 
 def test_kernel_of_zero_matrix_is_everything():
     k = kernel_basis(FieldMatrix.zeros(GF5, 2, 3))

@@ -764,6 +764,19 @@ def test_point_table_matches_reference_and_is_shared_read_only():
                     assert a.tolist() == b.tolist(), (p, n, dim, step)
 
 
+def test_point_table_stores_the_narrowest_index_type():
+    # the table holds the reference's intp values in uint16 up to 2**16
+    # points, a quarter of the bytes, and in int32 past that
+    for p, n, dim, dtype in [(2, 3, 2, np.uint16), (3, 4, 2, np.uint16), (7, 2, 0, np.uint16),
+                             (7, 5, 4, np.uint16), (257, 3, 1, np.int32)]:
+        table = _point_table(p, n, dim)
+        expected = np.concatenate(list(reference_subspace_points(p, n, dim, 1 << 20)))
+        assert table.dtype == dtype, (p, n, dim)
+        assert np.array_equal(table, expected), (p, n, dim)
+        assert table.nbytes * np.dtype(np.intp).itemsize == expected.nbytes * dtype().itemsize
+    assert _point_table(7, 5, 4).nbytes == 2801 * 400 * 2
+
+
 def test_point_ranks_are_shared_with_the_bound():
     # the bound takes the point ranks as given, and a fifth argument equal
     # to what it computes itself gives the same bound

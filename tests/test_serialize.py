@@ -1,4 +1,8 @@
 import json
+import os
+import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from slicerank import (
     FormatError,
     NonCanonicalBasisError,
     PrimeField,
+    SliceDecomposition,
     SliceRankError,
     Subspace,
     Tensor,
@@ -27,6 +32,7 @@ from slicerank import (
     random_tensor,
     slice_rank_exact,
 )
+from slicerank import serialize
 from slicerank.cli import main
 from slicerank.serialize import (
     _dense_from_obj,
@@ -35,6 +41,7 @@ from slicerank.serialize import (
     decomposition_from_obj,
     decomposition_to_obj,
     dump_json,
+    load_json,
     rank_result_to_obj,
     split_trace_to_obj,
     subspace_from_obj,
@@ -440,3 +447,192 @@ def test_dump_json_bypasses_the_python_encoder(tmp_path, capsys, monkeypatch):
     monkeypatch.undo()
     for out in outputs:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# --- the canonical fast path of load_json ---
+
+
+def _json_path_only():
+    """load_json with its canonical fast path off: every text goes through json.loads."""
+    return mock.patch.object(serialize, "_read_canonical", lambda text: None)
+
+
+def _parse_file(path: str):
+    """What load_json and the matching reader make of a file, or the error either raises."""
+
+    def parse():
+        obj = load_json(path)
+        return decomposition_from_obj(obj) if isinstance(obj, list) else tensor_from_obj(obj)
+
+    kind, value = _outcome(parse)
+    if kind == "ok" and isinstance(value, SliceDecomposition):
+        value = (value.field, value.shape, [(t.axis, t.u.dtype, t.u.tolist(), t.v.dtype, t.v.tolist())
+                                            for t in value.terms])
+    return kind, value
+
+
+def _both_paths(text: str):
+    """(fast path outcome, json path outcome) of loading a file that holds the text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        fast = _parse_file(path)
+        with _json_path_only():
+            slow = _parse_file(path)
+    return fast, slow
+
+
+@st.composite
+def canonical_tensor_objects(draw, order=None):
+    """Tensor objects of orders 1-5 (or ``order``), p up to 65521, now and then with a fault."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 251, 65521]))
+    low, high = (1, 5) if order is None else (order, order)
+    shape = draw(st.lists(st.integers(0, 3), min_size=low, max_size=high))
+    cells = [] if 0 in shape else draw(
+        st.lists(st.tuples(*[st.integers(1, n) for n in shape]), unique=True, max_size=12))
+    entries = [{"index": list(c), "value": draw(st.integers(0, p - 1))} for c in cells]
+    fault = draw(st.sampled_from([None] * 6 + ["value", "index", "duplicate", "prime"]))
+    if fault == "prime":
+        p = draw(st.sampled_from([0, 1, 4, 65536, 10**17]))
+    elif entries and fault == "value":
+        entries[-1]["value"] = draw(st.sampled_from([p, 10**18 - 1]))
+    elif entries and shape and fault == "index":
+        entries[0]["index"][-1] = draw(st.sampled_from([0, shape[-1] + 1]))
+    elif entries and fault == "duplicate":
+        entries.append(dict(entries[0]))
+    return {"prime": p, "shape": shape, "entries": entries}
+
+
+@st.composite
+def canonical_decomposition_objects(draw):
+    """Decomposition arrays of orders 1-5 whose terms need not agree, u entries up to p."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        v = draw(canonical_tensor_objects(order=draw(st.integers(0, 4))))
+        u = draw(st.lists(st.integers(0, v["prime"]), max_size=4))
+        axis = draw(st.integers(0, len(v["shape"]) + 2))
+        terms.append({"axis": axis, "u": u, "v": v})
+    return terms
+
+
+LAYOUTS = [json.dumps, dump_json]
+
+
+@settings(max_examples=150)
+@given(canonical_tensor_objects() | canonical_decomposition_objects(), st.sampled_from(LAYOUTS))
+def test_fast_path_matches_the_json_path(obj, layout):
+    text = layout(obj)
+    assert serialize._read_canonical(text) is not None
+    fast, slow = _both_paths(text)
+    if slow[0] == "ok" and isinstance(slow[1], Tensor):
+        assert fast[0] == "ok" and fast[1] == slow[1] and fast[1].data.dtype == slow[1].data.dtype
+    else:
+        assert fast == slow
+
+
+def test_fast_path_reads_both_layouts_into_columns():
+    t = levi_civita(GF3)
+    for layout in LAYOUTS:
+        obj = serialize._read_canonical(layout(tensor_to_obj(t)))
+        assert type(obj["entries"]) is serialize._EntryColumns
+        assert obj["entries"].index.dtype == obj["entries"].value.dtype == np.int64
+        assert tensor_from_obj(obj) == t
+        terms = serialize._read_canonical(layout(decomposition_to_obj(levi_civita_decomposition(GF3))))
+        assert [type(term["v"]["entries"]) for term in terms] == [serialize._EntryColumns] * len(terms)
+        assert evaluate_decomposition(decomposition_from_obj(terms)) == t
+
+
+TENSOR_TEXT = json.dumps({"prime": 5, "shape": [2, 3],
+                          "entries": [{"index": [1, 2], "value": 3}, {"index": [2, 3], "value": 1}]})
+TERM_TEXT = json.dumps([{"axis": 1, "u": [1, 4], "v": json.loads(TENSOR_TEXT)}])
+# (text, substring, replacement): each mutation leaves the canonical grammar
+HOSTILE_MUTATIONS = {
+    "leading-zero": (TENSOR_TEXT, '"value": 3', '"value": 03'),
+    "negative": (TENSOR_TEXT, '"value": 3', '"value": -1'),
+    "negative-u": (TERM_TEXT, "[1, 4]", "[-1, 4]"),
+    "fraction": (TENSOR_TEXT, '"value": 3', '"value": 1.0'),
+    "exponent": (TENSOR_TEXT, '"value": 3', '"value": 1e2'),
+    "boolean": (TENSOR_TEXT, '"value": 3', '"value": true'),
+    "19-digit-value": (TENSOR_TEXT, '"value": 3', '"value": 1000000000000000003'),
+    "19-digit-coordinate": (TENSOR_TEXT, "[1, 2]", "[1, 1000000000000000002]"),
+    "19-digit-prime": (TENSOR_TEXT, '"prime": 5', '"prime": 1000000000000000005'),
+    "4301-digit-value": (TENSOR_TEXT, '"value": 3', '"value": ' + "1" * 4301),
+    "swapped-keys": (TENSOR_TEXT, '{"index": [1, 2], "value": 3}', '{"value": 3, "index": [1, 2]}'),
+    "swapped-top-keys": (TENSOR_TEXT, '"prime": 5, "shape": [2, 3]', '"shape": [2, 3], "prime": 5'),
+    "swapped-term-keys": (TERM_TEXT, '"axis": 1, "u": [1, 4]', '"u": [1, 4], "axis": 1'),
+    "extra-key": (TENSOR_TEXT, '"value": 3}', '"value": 3, "note": 0}'),
+    "extra-top-key": (TENSOR_TEXT, '"prime": 5,', '"prime": 5, "name": "t",'),
+    "duplicate-key": (TENSOR_TEXT, '"value": 3', '"value": 4, "value": 3'),
+    "duplicate-entries-key": (TENSOR_TEXT, '{"prime"', '{"entries": [], "prime"'),
+    "escaped-key": (TENSOR_TEXT, '"index": [1, 2]', '"\\u0069ndex": [1, 2]'),
+    "form-feed": (TENSOR_TEXT, '"value": 3', '"value":\f3'),
+    "nbsp": (TENSOR_TEXT, '"value": 3', '"value":\u00a03'),
+    "trailing-comma": (TENSOR_TEXT, "1}]", "1},]"),
+    "trailing-comma-in-index": (TENSOR_TEXT, "[1, 2]", "[1, 2,]"),
+    "trailing-text": (TENSOR_TEXT, "1}]}", "1}]} x"),
+    "trailing-term-text": (TERM_TEXT, "1}]}}]", "1}]}}]]"),
+    "bom": (TENSOR_TEXT, '{"prime"', '\ufeff{"prime"'),
+    "index-too-long": (TENSOR_TEXT, "[1, 2]", "[1, 2, 1]"),
+    "index-too-short": (TENSOR_TEXT, "[1, 2]", "[1]"),
+    "index-lengths-that-cancel": (TENSOR_TEXT, '[1, 2], "value": 3}, {"index": [2, 3]',
+                                  '[1], "value": 3}, {"index": [2, 3, 1]'),
+    "v-index-too-long": (TERM_TEXT, "[1, 2]", "[1, 2, 1]"),
+    "entries-absent": (TENSOR_TEXT, ', "entries": [{"index": [1, 2], "value": 3}, {"index": [2, 3], "value": 1}]', ""),
+}
+
+
+@pytest.mark.parametrize("text,old,new", HOSTILE_MUTATIONS.values(), ids=HOSTILE_MUTATIONS.keys())
+def test_hostile_mutations_leave_the_fast_path(text, old, new):
+    assert old in text
+    mutated = text.replace(old, new, 1)
+    assert serialize._read_canonical(text) is not None
+    assert serialize._read_canonical(mutated) is None
+    fast, slow = _both_paths(mutated)
+    assert fast == slow
+
+
+CANONICAL_FAULTS = {
+    "value-is-p": (TENSOR_TEXT, '"value": 3', '"value": 5'),
+    "coordinate-zero": (TENSOR_TEXT, '"index": [2, 3]', '"index": [0, 3]'),
+    "coordinate-past-axis": (TENSOR_TEXT, '"index": [2, 3]', '"index": [2, 4]'),
+    "duplicate-index": (TENSOR_TEXT, '"index": [2, 3]', '"index": [1, 2]'),
+    "bad-value-before-duplicate": (TENSOR_TEXT, '"value": 3}, {"index": [2, 3]', '"value": 9}, {"index": [1, 2]'),
+    "not-prime": (TENSOR_TEXT, '"prime": 5', '"prime": 4'),
+    "order-one": (TENSOR_TEXT.replace("[2, 3]", "[3]"), '"index": [1, 2]', '"index": [2]'),
+    "u-is-p": (TERM_TEXT, "[1, 4]", "[1, 5]"),
+    "axis-past-order": (TERM_TEXT, '"axis": 1', '"axis": 4'),
+    "v-value-is-p": (TERM_TEXT, '"value": 3', '"value": 5'),
+    "v-shape-over-the-cell-limit": (TERM_TEXT, '"shape": [2, 3]', '"shape": [4096, 4097]'),
+}
+
+
+@pytest.mark.parametrize("text,old,new", CANONICAL_FAULTS.values(), ids=CANONICAL_FAULTS.keys())
+def test_canonical_faults_give_the_json_path_errors(text, old, new):
+    # the fast path reads these, and the shared checks refuse them word for word
+    mutated = text.replace(old, new, 1)
+    assert serialize._read_canonical(mutated) is not None
+    fast, slow = _both_paths(mutated)
+    assert fast == slow and fast[0] is FormatError
+
+
+def _traced_peak(load, path):
+    tracemalloc.start()
+    try:
+        load(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fast_path_peaks_below_the_json_path(tmp_path):
+    # a repeat that backtracks would hold its state for every entry
+    path = str(tmp_path / "big.json")
+    t = random_tensor(PrimeField(5), (24, 24, 24), np.random.default_rng(13))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(tensor_to_obj(t)))
+    assert type(load_json(path)["entries"]) is serialize._EntryColumns
+    fast = _traced_peak(load_json, path)
+    with _json_path_only():
+        slow = _traced_peak(load_json, path)
+    assert fast <= slow, (fast, slow)
