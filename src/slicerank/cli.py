@@ -51,16 +51,14 @@ from .splitting import (
 from .normalize import triangular_normalize
 from .serialize import (
     MAX_AXES,
+    _rank_result_layout,
+    _split_trace_layout,
     certificate_from_obj,
     check_shape,
     decomposition_from_obj,
     dump_json,
     load_json,
-    rank_result_to_obj,
-    split_trace_to_obj,
-    decomposition_to_obj,
     tensor_from_obj,
-    tensor_to_obj,
 )
 from .tensor import (
     BlockStructure,
@@ -114,7 +112,7 @@ def cmd_rank(args) -> int:
     else:
         method = "dual" if args.method == "dual-search" else args.method
         result = slice_rank_exact(t, budget=args.budget, limit=args.limit, method=method)
-    _emit(rank_result_to_obj(result), args.output)
+    _emit(_rank_result_layout(result), args.output)
     return EXIT_BUDGET if result.status == "rank_above_budget" else EXIT_OK
 
 
@@ -161,7 +159,7 @@ def cmd_split(args) -> int:
     if not verify_certificate(lead, cert1) or not verify_certificate(trail, cert2):
         print("derived certificates do not verify against the blocks", file=sys.stderr)
         return EXIT_VERIFY
-    _emit(split_trace_to_obj(trace), args.output)
+    _emit(_split_trace_layout(trace), args.output)
     return EXIT_OK
 
 
@@ -173,17 +171,17 @@ def cmd_direct_sum(args) -> int:
     total, blocks = direct_sum(t1, t2)
     blocks_obj = [list(axis) for axis in blocks.sizes]
     if args.output:
-        dump_json(tensor_to_obj(total), args.output)
+        dump_json(total, args.output)
         _emit({"output": args.output, "shape": list(total.shape), "blocks": blocks_obj})
     else:
-        _emit({"tensor": tensor_to_obj(total), "blocks": blocks_obj})
+        _emit({"tensor": total, "blocks": blocks_obj})
     return EXIT_OK
 
 
 def cmd_demo(args) -> int:
     field = PrimeField(args.prime)
     if args.name == "levi-civita":
-        _emit(tensor_to_obj(levi_civita(field)), args.output)
+        _emit(levi_civita(field), args.output)
     elif args.name == "diagonal":
         if args.size is None or args.ones is None:
             raise PreconditionError("diagonal demo needs --size and --ones")
@@ -192,7 +190,7 @@ def cmd_demo(args) -> int:
             # order is capped so that a huge one is refused without building its shape
             check_shape((args.size,) * min(args.order, MAX_AXES + 1))
         t = diagonal_tensor(field, args.size, args.ones, order=args.order)
-        _emit(tensor_to_obj(t), args.output)
+        _emit(t, args.output)
     elif args.name == "obstruction":
         if args.m is None:
             raise PreconditionError("obstruction demo needs --m")
@@ -244,10 +242,8 @@ def cmd_normalize_d3(args) -> int:
     dec = decomposition_from_obj(obj)
     normalized = triangular_normalize(dec)
     out = {
-        "decomposition": decomposition_to_obj(normalized.decomposition),
-        "duals": [
-            [[int(x) for x in row] for row in fam.data] for fam in normalized.duals
-        ],
+        "decomposition": normalized.decomposition,
+        "duals": [fam.data for fam in normalized.duals],
         "orthogonality_pairs": [[s + 1, t + 1] for s, t in normalized.orthogonality],
     }
     _emit(out, args.output)

@@ -21,9 +21,17 @@ arrays, the columns of a canonical file by the same array checks; only input
 that fails is walked entry by entry, to name the first bad entry in file
 order. ``load_json`` refuses what is not UTF-8 JSON, nested too deep
 included, and ``dump_json`` an output path it cannot write, both with
-FormatError. Dumps are exactly ``json.dumps(obj, indent=2)`` plus a
-newline, written without json's pure-Python indenting encoder, and
-deterministic, so identical inputs serialize byte-identically.
+FormatError.
+
+``dump_json`` is the one writer of output text. Dumps are exactly
+``json.dumps(obj, indent=2)`` plus a newline, written without json's
+pure-Python indenting encoder, and deterministic, so identical inputs
+serialize byte-identically. A ``Tensor``, ``SliceDecomposition``,
+``DualCertificate``, ``Subspace`` or 2-D int64 array anywhere in the value
+is written straight from its arrays, as its ``*_to_obj`` object would be:
+one ``%`` template per such value, built from pieces cached by order and
+indent, filled from one flat list of its integers. The commands pass these
+values to ``dump_json`` and build no object per tensor entry.
 """
 
 from __future__ import annotations
@@ -90,12 +98,19 @@ def check_shape(shape: Sequence[int]) -> tuple[int, ...]:
     return shape
 
 
+def _entry_table(arr: np.ndarray) -> np.ndarray:
+    """The entries of a dense array, one int64 row per nonzero cell in C order.
+
+    A row holds the cell's 1-based index, then its value.
+    """
+    cells = arr.nonzero()
+    table = np.array(cells + (arr[cells],), dtype=np.int64).T
+    table[:, :-1] += 1
+    return table
+
+
 def _dense_to_obj(field: PrimeField, arr: np.ndarray) -> dict:
-    idx = np.argwhere(arr)
-    entries = [
-        {"index": index, "value": value}
-        for index, value in zip((idx + 1).tolist(), arr[tuple(idx.T)].tolist())
-    ]
+    entries = [{"index": row[:-1], "value": row[-1]} for row in _entry_table(arr).tolist()]
     return {"prime": field.p, "shape": [int(n) for n in arr.shape], "entries": entries}
 
 
@@ -328,7 +343,8 @@ def certificate_from_obj(obj: dict, field: PrimeField) -> DualCertificate:
     return cert
 
 
-def rank_result_to_obj(r: RankResult) -> dict:
+def _rank_result_layout(r: RankResult) -> dict:
+    """The keys of a rank result, its certificate and decomposition left for ``dump_json``."""
     if r.status != "ok":
         return {"status": r.status, "method": r.method, "sigma": None}
     return {
@@ -336,28 +352,40 @@ def rank_result_to_obj(r: RankResult) -> dict:
         "method": r.method,
         "exact": r.exact,
         "sigma": r.sigma,
-        "certificate": certificate_to_obj(r.certificate),
-        "decomposition": decomposition_to_obj(r.decomposition),
+        "certificate": r.certificate,
+        "decomposition": r.decomposition,
     }
 
 
-def split_trace_to_obj(trace: SplitTrace) -> dict:
-    cert1, cert2 = trace.component_certificates()
-    axes = []
-    for ax in trace.axes:
-        axes.append(
-            {
-                "w_vectors": ax.w_vectors.data.tolist(),
-                "threshold": ax.threshold,
-                "block1_dual": subspace_to_obj(ax.block1_dual),
-                "block2_dual": subspace_to_obj(ax.block2_dual),
-            }
-        )
+def _split_trace_layout(trace: SplitTrace) -> dict:
+    """The keys of a split trace, its matrices, subspaces and certificates left for ``dump_json``."""
+    axes = [
+        {
+            "w_vectors": ax.w_vectors.data,
+            "threshold": ax.threshold,
+            "block1_dual": ax.block1_dual,
+            "block2_dual": ax.block2_dual,
+        }
+        for ax in trace.axes
+    ]
     return {
         "choices": list(trace.choices.choices),
         "axes": axes,
-        "certificates": [certificate_to_obj(cert1), certificate_to_obj(cert2)],
+        "certificates": list(trace.component_certificates()),
     }
+
+
+def _plain(layout):
+    """A layout as plain JSON values: what ``dump_json`` writes of it, read back."""
+    return json.loads(_encode(layout, ""))
+
+
+def rank_result_to_obj(r: RankResult) -> dict:
+    return _plain(_rank_result_layout(r))
+
+
+def split_trace_to_obj(trace: SplitTrace) -> dict:
+    return _plain(_split_trace_layout(trace))
 
 
 # The canonical layouts ``load_json`` reads straight into int64 columns: a
@@ -492,43 +520,91 @@ def load_json(path: str):
         raise FormatError(f"invalid JSON in {path}: {exc}") from None
 
 
-def _encode_rows(rows: list, indent: str) -> Optional[str]:
-    """The dicts of a list at ``indent`` through one ``%`` template, or None.
+def _items(items: list, indent: str) -> str:
+    """A list of the written items, opened at ``indent``, as json.dumps lays it out."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
-    Every dict must have the same keys, and each key's values must be ints,
-    or int lists of one length.
-    """
-    if len(set(map(tuple, rows))) != 1 or set(map(type, rows[0])) != {str}:
-        return None
-    inner, item = indent + "  ", indent + "    "
-    parts, columns = [], []
-    for key in rows[0]:
-        values = list(map(dict.get, rows, repeat(key)))
-        kinds = set(map(type, values))
-        if kinds == {int}:
-            parts.append("%d")
-            columns.append(values)
-        elif (kinds == {list} and len(set(map(len, values))) == 1
-              and set(map(type, chain.from_iterable(values))) <= {int}):
-            width = len(values[0])
-            sep = ",\n" + item
-            parts.append(f"[\n{item}{sep.join(['%d'] * width)}\n{inner}]" if width else "[]")
-            columns.extend(zip(*values))
-        else:
-            return None
-    if not columns:
-        return None
-    fields = [_encode_str(k).replace("%", "%%") + ": " + part for k, part in zip(rows[0], parts)]
-    row = "{\n" + inner + (",\n" + inner).join(fields) + "\n" + indent + "}"
-    return (",\n" + indent).join(map(row.__mod__, zip(*columns)))
+
+# The writers of slicerank's own values. Each returns the ``%`` template of
+# its value at ``indent`` and appends the value's integers, in template
+# order, to ``ints``: int lists and int64 arrays that one ``tolist()`` of
+# their concatenation turns into the template's arguments.
+
+
+@lru_cache(maxsize=256)
+def _tensor_pieces(d: int, indent: str) -> tuple[str, str]:
+    """(head, entry) of an order-d tensor at ``indent``: the object up to its entries, and one entry."""
+    inner, entry_inner = indent + "  ", indent + "      "
+    head = (f'{{\n{inner}"prime": %d,\n{inner}"shape": {_items(["%d"] * d, inner)},\n'
+            f'{inner}"entries": ')
+    entry = (f'{{\n{entry_inner}"index": {_items(["%d"] * d, entry_inner)},\n'
+             f'{entry_inner}"value": %d\n{indent}    }}')
+    return head, entry
+
+
+def _dense_template(p: int, arr: np.ndarray, indent: str, ints: list) -> str:
+    head, entry = _tensor_pieces(arr.ndim, indent)
+    table = _entry_table(arr)
+    ints += ([p, *arr.shape], table.ravel())
+    return head + _items([entry] * len(table), indent + "  ") + "\n" + indent + "}"
+
+
+def _tensor_template(t: Tensor, indent: str, ints: list) -> str:
+    return _dense_template(t.field.p, t.data, indent, ints)
+
+
+def _decomposition_template(dec: SliceDecomposition, indent: str, ints: list) -> str:
+    inner = indent + "    "
+    terms = []
+    for term in dec.terms:
+        ints += ([term.axis + 1], term.u)
+        v = _dense_template(dec.field.p, term.v, inner, ints)
+        terms.append(f'{{\n{inner}"axis": %d,\n{inner}"u": {_items(["%d"] * len(term.u), inner)},\n'
+                     f'{inner}"v": {v}\n{indent}  }}')
+    return _items(terms, indent)
+
+
+def _matrix_template(arr: np.ndarray, indent: str, ints: list) -> str:
+    rows, cols = arr.shape
+    ints.append(arr.ravel())
+    return _items([_items(["%d"] * cols, indent + "  ")] * rows, indent)
+
+
+def _subspace_template(s: Subspace, indent: str, ints: list) -> str:
+    inner = indent + "  "
+    ints.append([s.ambient_dim])
+    basis = _matrix_template(s.basis.data, inner, ints)
+    return f'{{\n{inner}"ambient": %d,\n{inner}"basis": {basis}\n{indent}}}'
+
+
+def _certificate_template(c: DualCertificate, indent: str, ints: list) -> str:
+    inner = indent + "  "
+    ints.append([c.bound])
+    subspaces = [_subspace_template(s, inner + "  ", ints) for s in c.subspaces]
+    return f'{{\n{inner}"bound": %d,\n{inner}"subspaces": {_items(subspaces, inner)}\n{indent}}}'
+
+
+_TEMPLATES = {
+    Tensor: _tensor_template,
+    SliceDecomposition: _decomposition_template,
+    DualCertificate: _certificate_template,
+    Subspace: _subspace_template,
+    np.ndarray: _matrix_template,
+}
 
 
 def _encode(o, indent: str) -> str:
     """``json.dumps(o, indent=2)`` for a value that starts at ``indent``.
 
     Lists, dicts with string keys, ints, strings, bools and None are written
-    here; json's indenting encoder is pure Python, so only other values
-    (floats, for one) are passed to it.
+    here, and slicerank's values (a ``Tensor``, ``SliceDecomposition``,
+    ``DualCertificate``, ``Subspace`` or 2-D int64 array) as their
+    ``*_to_obj`` objects would be, straight from their arrays; json's
+    indenting encoder is pure Python, so only other values (floats, for
+    one) are passed to it.
     """
     t = type(o)
     if t is int:
@@ -541,23 +617,30 @@ def _encode(o, indent: str) -> str:
     if t is list:
         if not o:
             return "[]"
-        kinds = set(map(type, o))
-        if kinds == {int}:
+        if set(map(type, o)) == {int}:
             body = (",\n" + inner).join(map(int.__repr__, o))
         else:
-            body = (kinds == {dict} and _encode_rows(o, inner)
-                    or (",\n" + inner).join([_encode(x, inner) for x in o]))
+            body = (",\n" + inner).join([_encode(x, inner) for x in o])
         return f"[\n{inner}{body}\n{indent}]"
     if t is dict and set(map(type, o)) <= {str}:
         if not o:
             return "{}"
         body = (",\n" + inner).join([_encode_str(k) + ": " + _encode(v, inner) for k, v in o.items()])
         return f"{{\n{inner}{body}\n{indent}}}"
+    template = _TEMPLATES.get(t)
+    if template is not None and (t is not np.ndarray or (o.ndim == 2 and o.dtype == np.int64)):
+        ints = []
+        text = template(o, indent, ints)
+        return text % tuple(np.concatenate(ints).tolist()) if ints else text
     return json.dumps(o, indent=2).replace("\n", "\n" + indent)
 
 
 def dump_json(obj, path: Optional[str] = None) -> str:
-    """``json.dumps(obj, indent=2)`` and a newline, also written to ``path`` if given."""
+    """``json.dumps(obj, indent=2)`` and a newline, also written to ``path`` if given.
+
+    slicerank's values in ``obj`` are written as their ``*_to_obj`` objects
+    would be, straight from their arrays.
+    """
     text = _encode(obj, "") + "\n"
     if path is not None:
         try:

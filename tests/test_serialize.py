@@ -34,6 +34,7 @@ from slicerank import (
 )
 from slicerank import serialize
 from slicerank.cli import main
+from slicerank.linalg import FieldMatrix
 from slicerank.serialize import (
     _dense_from_obj,
     certificate_from_obj,
@@ -45,9 +46,11 @@ from slicerank.serialize import (
     rank_result_to_obj,
     split_trace_to_obj,
     subspace_from_obj,
+    subspace_to_obj,
     tensor_from_obj,
     tensor_to_obj,
 )
+from slicerank.tensor import SliceTerm
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -421,8 +424,10 @@ def test_dump_json_matches_json_dumps_indent_two(obj):
 
 
 def test_dump_json_bypasses_the_python_encoder(tmp_path, capsys, monkeypatch):
+    # the commands write slicerank's values straight from their arrays:
+    # neither json's encoder nor a per-entry dict list is built
     def refuse(*args, **kwargs):
-        raise AssertionError("json's pure-Python encoder was called")
+        raise AssertionError("json's pure-Python encoder or a per-entry dict list was built")
 
     eps = tmp_path / "eps.json"
     zero = tmp_path / "zero.json"
@@ -438,8 +443,10 @@ def test_dump_json_bypasses_the_python_encoder(tmp_path, capsys, monkeypatch):
     blocks_flag = ";".join(",".join(map(str, sizes)) for sizes in blocks.sizes)
     runs = [("rank", "-i", "{eps}"), ("rank", "-i", "{zero}"), ("rank", "-i", "{sum}"),
             ("split", "-i", "{sum}", "--certificate", "{cert}", "--blocks", blocks_flag),
-            ("normalize-d3", "-i", "{dec}")]
+            ("normalize-d3", "-i", "{dec}"), ("direct-sum", "--left", "{eps}", "--right", "{zero}"),
+            ("demo", "levi-civita")]
     monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    monkeypatch.setattr(serialize, "_dense_to_obj", refuse)
     outputs = []
     for argv in runs:
         assert main([arg.format(**paths) for arg in argv]) == 0
@@ -447,6 +454,119 @@ def test_dump_json_bypasses_the_python_encoder(tmp_path, capsys, monkeypatch):
     monkeypatch.undo()
     for out in outputs:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# --- slicerank values written straight from their arrays ---
+
+PRIMES = st.sampled_from([2, 3, 5, 7, 251, 65521])
+
+
+@st.composite
+def dense_arrays(draw, p, shape):
+    """Arrays of residues mod p: all zero, sparse or dense."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    return rng.integers(0, p, size=shape) * (rng.random(shape) < density)
+
+
+@st.composite
+def tensors(draw):
+    """Tensors of orders 2-5, zero-size axes and empty entries included."""
+    p = draw(PRIMES)
+    shape = tuple(draw(st.lists(st.integers(0, 3), min_size=2, max_size=5)))
+    return Tensor(PrimeField(p), shape, draw(dense_arrays(p, shape)))
+
+
+@st.composite
+def decompositions(draw):
+    """Decompositions of orders 2-4 with up to 4 terms; order-2 terms have a 1-D v."""
+    p = draw(PRIMES)
+    shape = tuple(draw(st.lists(st.integers(0, 3), min_size=2, max_size=4)))
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        axis = draw(st.integers(0, len(shape) - 1))
+        u = draw(dense_arrays(p, shape[axis]))
+        v = draw(dense_arrays(p, shape[:axis] + shape[axis + 1:]))
+        terms.append(SliceTerm(axis, u, v))
+    return SliceDecomposition(PrimeField(p), shape, tuple(terms))
+
+
+@st.composite
+def subspaces(draw, field):
+    n = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(["zero", "full", "span"]))
+    if kind == "zero":
+        return Subspace.zero(field, n)
+    if kind == "full":
+        return Subspace.full(field, n)
+    return Subspace.from_rows(field, draw(dense_arrays(field.p, (draw(st.integers(0, 3)), n))), n)
+
+
+@st.composite
+def certificates(draw):
+    """Certificates of orders 2-4 whose bases are empty, full or spanned by random rows."""
+    field = PrimeField(draw(PRIMES))
+    return DualCertificate(tuple(draw(subspaces(field)) for _ in range(draw(st.integers(2, 4)))))
+
+
+MATRICES = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+    lambda shape: dense_arrays(2**62, shape))
+NODES = (tensors() | decompositions() | certificates()
+         | PRIMES.flatmap(lambda p: subspaces(PrimeField(p))) | MATRICES)
+
+
+def _to_obj(x):
+    """The plain object that the *_to_obj functions make of a slicerank value."""
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    return {Tensor: tensor_to_obj, SliceDecomposition: decomposition_to_obj,
+            DualCertificate: certificate_to_obj, Subspace: subspace_to_obj}[type(x)](x)
+
+
+@settings(max_examples=300)
+@given(NODES, st.lists(st.sampled_from(["dict", "list"]), max_size=3))
+def test_dump_json_writes_values_as_their_objects(x, nesting):
+    # each enclosing dict or list moves the value two spaces in
+    value, obj = x, _to_obj(x)
+    for kind in nesting:
+        value, obj = ({"key": value, "n": 1}, {"key": obj, "n": 1}) if kind == "dict" else ([1, value], [1, obj])
+    assert dump_json(value) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_dump_json_writes_only_two_dimensional_int64_arrays():
+    for arr in (np.zeros(3, dtype=np.int64), np.zeros((2, 2, 2), dtype=np.int64),
+                np.zeros((2, 2), dtype=np.int32), np.zeros((2, 2))):
+        with pytest.raises(TypeError):
+            dump_json(arr)
+
+
+def _traced(write):
+    """(peak, retained) bytes that tracemalloc sees while ``write`` runs."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write()
+        current, peak = tracemalloc.get_traced_memory()
+        return peak - before, current - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_writing_values_holds_no_more_memory_than_their_objects():
+    rng = np.random.default_rng(17)
+    t = random_tensor(PrimeField(5), (24, 24, 24), rng)
+    dec = random_decomposition(rng, PrimeField(5), (24, 24, 24), max_terms_per_axis=3)
+    assert len(dec.terms) >= 3
+    for x in (t, dec):
+        direct, _ = _traced(lambda: dump_json(x))
+        via_obj, _ = _traced(lambda: dump_json(_to_obj(x)))
+        assert direct <= via_obj, (type(x).__name__, direct, via_obj)
+    # no template of a vector's length outlives the write
+    row = np.zeros((1, 10**6), dtype=np.int64)
+    row[0, 0] = 1
+    long_row = Subspace(GF2, 10**6, FieldMatrix(GF2, row))
+    _, retained = _traced(lambda: dump_json({"subspace": long_row}))
+    assert retained < 2**20, retained
 
 
 # --- the canonical fast path of load_json ---
