@@ -56,9 +56,6 @@ class PrimeField:
             raise ZeroDivisionError("zero has no inverse")
         return pow(a, -1, self.p)
 
-    def neg(self, a: int) -> int:
-        return (-int(a)) % self.p
-
     def residues(self, data) -> np.ndarray:
         """Copy arbitrary integer data into a reduced int64 array.
 

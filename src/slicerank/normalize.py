@@ -6,8 +6,13 @@ that the dual functionals of every earlier axis annihilate the cotensors of
 every later axis. The tool is a family of commuting projections, one per
 axis: P projects onto the span of the axis vectors, Q = I - P, and the
 telescoping T = P1 T + P2 Q1 T + P3 Q2 Q1 T rebuilds the decomposition in
-staircase form. Scoped to order 3, where the construction is shipped and
-tested end to end.
+staircase form. ``triangular_normalize`` runs it in one pass at the pivots
+of each axis's echelon basis: the duals of an echelon basis are the unit
+rows at its pivots, so every projection coefficient is a slice of the
+residual, and the input terms are never rebased, since rebasing does not
+change the tensor the pass reads. ``rebase_terms``, ``dual_family`` and the
+axis projections are the general pieces, for families in any position.
+Scoped to order 3, where the construction is shipped and tested end to end.
 """
 
 from __future__ import annotations
@@ -124,70 +129,45 @@ def axis_projection_complement(
 def triangular_normalize(dec: SliceDecomposition) -> NormalizedDecomposition:
     """Normalize an order-3 decomposition into staircase form.
 
-    First rebases each axis's terms onto the echelon basis of their span,
-    so the per-axis vectors become independent and the term counts equal
-    the per-axis ranks. Then telescopes through the axis projections built
-    from deterministic dual functionals. The result evaluates to the same
-    tensor and satisfies the staircase orthogonality on every axis pair.
+    One telescoping pass over the axes, starting from the evaluated tensor
+    as the residual. Each axis with terms row-reduces its term vectors once,
+    to the echelon basis F of their span with pivot columns P, so the term
+    counts equal the per-axis ranks. The input terms are not rebased onto
+    F: rebasing never changes the evaluated tensor, the only thing the pass
+    reads. The duals of F are the unit rows at P (``dual_family`` of an
+    echelon basis), so the projection coefficients are the residual's
+    slices at P: they are the new cotensors, and the residual loses F^T
+    times them. The staircase orthogonality of axes s < t is that every
+    axis-t cotensor vanishes at P_s on axis s; it is checked, and so is the
+    final zero residual.
     """
     if len(dec.shape) != 3:
         raise PreconditionError("triangular normalization is implemented for order 3")
     field = dec.field
     p = field.p
 
-    families: list[FieldMatrix] = []
+    residual = evaluate_decomposition(dec).data
+    new_terms: list[SliceTerm] = []
     duals: list[FieldMatrix] = []
-    rebased: list[SliceTerm] = []
+    pivots: list[list[int]] = []
     for axis, n in enumerate(dec.shape):
         terms = dec.terms_on_axis(axis)
-        if terms:
-            stack = FieldMatrix(field, np.vstack([t.u for t in terms]))
-            red, piv = _row_reduce(stack.data, p)
-            basis = FieldMatrix(field, red[: len(piv)])
-            b_new = rebase_terms(stack, [t.v for t in terms], basis)
-            rebased.extend(
-                SliceTerm(axis, basis.data[j].copy(), b_new[j]) for j in range(basis.rows)
-            )
-        else:
-            basis = FieldMatrix.zeros(field, 0, n)
-        families.append(basis)
-        duals.append(
-            dual_family(basis) if basis.rows else FieldMatrix.zeros(field, 0, n)
-        )
-
-    residual = evaluate_decomposition(
-        SliceDecomposition(field, dec.shape, tuple(rebased))
-    ).data
-    new_terms: list[SliceTerm] = []
-    cotensors: dict[int, list[np.ndarray]] = {}
-    for axis in range(3):
-        fam = families[axis]
-        if fam.rows == 0:
-            cotensors[axis] = []
+        red, piv = _row_reduce(np.vstack([t.u for t in terms]), p) if terms else (None, [])
+        duals.append(FieldMatrix(field, np.eye(n, dtype=np.int64)[piv]))
+        pivots.append(piv)
+        if not piv:
             continue
-        coeff = mode_product(residual, duals[axis].data, axis, p)
-        axis_cots = []
-        for j in range(fam.rows):
-            v = np.take(coeff, j, axis=axis).copy()
-            axis_cots.append(v)
-            new_terms.append(SliceTerm(axis, fam.data[j].copy(), v))
-        cotensors[axis] = axis_cots
-        proj = mode_product(coeff, fam.data.T, axis, p)
-        residual = (residual - proj) % p
+        basis = red[: len(piv)]
+        cotensors = np.take(residual, piv, axis=axis)
+        for s in range(axis):  # earlier axes keep their positions in the slices
+            if np.take(cotensors, pivots[s], axis=s).any():
+                raise SliceRankError(f"staircase orthogonality failed for axes ({s}, {axis})")
+        new_terms.extend(
+            SliceTerm(axis, basis[j], np.take(cotensors, j, axis=axis)) for j in range(len(piv))
+        )
+        residual = (residual - mode_product(cotensors, basis.T, axis, p)) % p
     if residual.any():
         raise SliceRankError("projections left a nonzero residual")
 
-    verified: list[tuple[int, int]] = []
-    for s in range(3):
-        for t_axis in range(s + 1, 3):
-            for cot in cotensors[t_axis]:
-                # axis s keeps position s inside a cotensor missing axis t > s
-                against = mode_product(cot, duals[s].data, s, p)
-                if against.any():
-                    raise SliceRankError(
-                        f"staircase orthogonality failed for axes ({s}, {t_axis})"
-                    )
-            verified.append((s, t_axis))
-
     normalized = SliceDecomposition(field, dec.shape, tuple(new_terms))
-    return NormalizedDecomposition(normalized, tuple(duals), tuple(verified))
+    return NormalizedDecomposition(normalized, tuple(duals), ((0, 1), (0, 2), (1, 2)))

@@ -246,11 +246,11 @@ def check_additivity(
 ) -> dict:
     """Compute both sides of rank additivity for a direct sum, independently.
 
-    Returns the wire-format report. A "violation" status cannot come from
-    the mathematics; it signals an implementation bug.
+    Returns the report: plain JSON values, except the three certificates,
+    which are ``DualCertificate`` values that ``dump_json`` writes in the
+    certificate wire format. A "violation" status cannot come from the
+    mathematics; it signals an implementation bug.
     """
-    from .serialize import certificate_to_obj
-
     r1 = slice_rank_exact(t1, limit=limit)
     r2 = slice_rank_exact(t2, limit=limit)
     total, _ = direct_sum(t1, t2)
@@ -260,11 +260,7 @@ def check_additivity(
         "sigma_parts": [r1.sigma, r2.sigma],
         "sigma_sum": r1.sigma + r2.sigma,
         "sigma_total": rt.sigma,
-        "certificates": [
-            certificate_to_obj(r1.certificate),
-            certificate_to_obj(r2.certificate),
-            certificate_to_obj(rt.certificate),
-        ],
+        "certificates": [r1.certificate, r2.certificate, rt.certificate],
         "status": status,
     }
 
@@ -276,10 +272,11 @@ def check_triangular(
 
     Also walks the fold chain: merge blocks 1..k-1 against block k, verify
     the two-block inequality at every level, and recurse into the merged
-    leading component.
+    leading component. The report is plain JSON values, except the
+    certificates (one per diagonal block, then the whole tensor's), which
+    are ``DualCertificate`` values that ``dump_json`` writes in the
+    certificate wire format.
     """
-    from .serialize import certificate_to_obj
-
     if not is_block_upper_triangular(t, blocks):
         raise PreconditionError("tensor is not block upper triangular for these blocks")
     d = t.order
@@ -329,8 +326,7 @@ def check_triangular(
         "sigma_parts": [r.sigma for r in diag_results],
         "sigma_sum": sigma_sum,
         "sigma_total": total.sigma,
-        "certificates": [certificate_to_obj(r.certificate) for r in diag_results]
-        + [certificate_to_obj(total.certificate)],
+        "certificates": [r.certificate for r in diag_results] + [total.certificate],
         "fold_chain": fold_chain,
         "status": status,
     }

@@ -169,10 +169,6 @@ class SliceDecomposition:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "terms", tuple(checked))
 
-    @property
-    def rank_bound(self) -> int:
-        return len(self.terms)
-
     def terms_on_axis(self, axis: int) -> tuple[SliceTerm, ...]:
         return tuple(t for t in self.terms if t.axis == axis)
 

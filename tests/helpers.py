@@ -29,11 +29,15 @@ they were cached, and the cover reference is the branch and bound
 ``min_slice_cover`` ran before it dropped spent slices and bounded by points
 that share no slice. The dual family reference completes the rows to an
 invertible matrix and inverts it by elimination; the reduced-basis reference
-checks row by row. The row reduction reference scans each column twice with
-``np.flatnonzero``, and the kernel reference writes its vectors entry by
-entry, as both did before they were vectorized. The parse references are
-the per-entry loops the wire-format readers ran before they checked in
-bulk; they share only the field and shape helpers with ``serialize``.
+checks row by row. The normalization reference rebases every axis's terms
+with ``rebase_terms``, takes ``dual_family`` of each echelon basis and
+checks the staircase with one ``mode_product`` per later cotensor, as
+``triangular_normalize`` did before its one pass at the pivots. The row
+reduction reference scans each column twice with ``np.flatnonzero``, and
+the kernel reference writes its vectors entry by entry, as both did before
+they were vectorized. The parse references are the per-entry loops the
+wire-format readers ran before they checked in bulk; they share only the
+field and shape helpers with ``serialize``.
 """
 
 import math
@@ -57,9 +61,10 @@ from slicerank import (
     slice_rank_exact,
     verify_certificate,
 )
-from slicerank.linalg import grassmannian
+from slicerank.linalg import _row_reduce, grassmannian
+from slicerank.normalize import NormalizedDecomposition, dual_family, rebase_terms
 from slicerank.rank import CoverResult, RankResult, _grassmannian_stack
-from slicerank.errors import FormatError, PreconditionError, VerificationError
+from slicerank.errors import FormatError, PreconditionError, SliceRankError, VerificationError
 from slicerank.serialize import (
     MAX_DENSE_CELLS,
     _int_field,
@@ -68,7 +73,7 @@ from slicerank.serialize import (
     certificate_to_obj,
     check_shape,
 )
-from slicerank.tensor import mode_product
+from slicerank.tensor import evaluate_decomposition, mode_product
 
 
 def all_vectors(p, n):
@@ -590,6 +595,78 @@ def reference_dual_family(vectors: FieldMatrix) -> FieldMatrix:
     stacked = np.vstack([vectors.data, full.data[vectors.rows :]])
     inv = invert_matrix(FieldMatrix(vectors.field, stacked))
     return FieldMatrix(vectors.field, inv.data[:, : vectors.rows].T)
+
+
+def reference_triangular_normalize(dec: SliceDecomposition) -> NormalizedDecomposition:
+    """Order-3 staircase normalization as shipped before the pass at the pivots.
+
+    First rebases each axis's terms onto the echelon basis of their span,
+    so the per-axis vectors become independent and the term counts equal
+    the per-axis ranks. Then telescopes through the axis projections built
+    from deterministic dual functionals. The result evaluates to the same
+    tensor and satisfies the staircase orthogonality on every axis pair.
+    """
+    if len(dec.shape) != 3:
+        raise PreconditionError("triangular normalization is implemented for order 3")
+    field = dec.field
+    p = field.p
+
+    families: list[FieldMatrix] = []
+    duals: list[FieldMatrix] = []
+    rebased: list[SliceTerm] = []
+    for axis, n in enumerate(dec.shape):
+        terms = dec.terms_on_axis(axis)
+        if terms:
+            stack = FieldMatrix(field, np.vstack([t.u for t in terms]))
+            red, piv = _row_reduce(stack.data, p)
+            basis = FieldMatrix(field, red[: len(piv)])
+            b_new = rebase_terms(stack, [t.v for t in terms], basis)
+            rebased.extend(
+                SliceTerm(axis, basis.data[j].copy(), b_new[j]) for j in range(basis.rows)
+            )
+        else:
+            basis = FieldMatrix.zeros(field, 0, n)
+        families.append(basis)
+        duals.append(
+            dual_family(basis) if basis.rows else FieldMatrix.zeros(field, 0, n)
+        )
+
+    residual = evaluate_decomposition(
+        SliceDecomposition(field, dec.shape, tuple(rebased))
+    ).data
+    new_terms: list[SliceTerm] = []
+    cotensors: dict[int, list[np.ndarray]] = {}
+    for axis in range(3):
+        fam = families[axis]
+        if fam.rows == 0:
+            cotensors[axis] = []
+            continue
+        coeff = mode_product(residual, duals[axis].data, axis, p)
+        axis_cots = []
+        for j in range(fam.rows):
+            v = np.take(coeff, j, axis=axis).copy()
+            axis_cots.append(v)
+            new_terms.append(SliceTerm(axis, fam.data[j].copy(), v))
+        cotensors[axis] = axis_cots
+        proj = mode_product(coeff, fam.data.T, axis, p)
+        residual = (residual - proj) % p
+    if residual.any():
+        raise SliceRankError("projections left a nonzero residual")
+
+    verified: list[tuple[int, int]] = []
+    for s in range(3):
+        for t_axis in range(s + 1, 3):
+            for cot in cotensors[t_axis]:
+                # axis s keeps position s inside a cotensor missing axis t > s
+                against = mode_product(cot, duals[s].data, s, p)
+                if against.any():
+                    raise SliceRankError(
+                        f"staircase orthogonality failed for axes ({s}, {t_axis})"
+                    )
+            verified.append((s, t_axis))
+
+    normalized = SliceDecomposition(field, dec.shape, tuple(new_terms))
+    return NormalizedDecomposition(normalized, tuple(duals), tuple(verified))
 
 
 def reference_row_reduce(data, p, pivot_limit=None):

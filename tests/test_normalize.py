@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import random_decomposition, reference_dual_family
+import slicerank.normalize as normalize
+from helpers import random_decomposition, reference_dual_family, reference_triangular_normalize
 from slicerank import (
     FieldMatrix,
     PreconditionError,
@@ -13,12 +14,14 @@ from slicerank import (
     axis_projection_complement,
     dual_family,
     evaluate_decomposition,
+    gaussian_binomial,
     levi_civita,
     levi_civita_decomposition,
     random_tensor,
     rebase_terms,
     triangular_normalize,
 )
+from slicerank.linalg import _grassmannian_stack, _row_reduce
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -112,6 +115,29 @@ def test_dual_family_matches_inverse_of_completed_rows():
             for k in range(n + 1):
                 fam = independent_family(rng, field, n, k)
                 assert dual_family(fam) == reference_dual_family(fam), (p, fam.data.tolist())
+
+
+def test_dual_family_of_an_echelon_basis_is_its_unit_pivot_rows():
+    # why the staircase pass slices at the pivots instead of taking duals:
+    # every reduced basis of GF(p)^n, n <= 3, and of GF(2)^5, and the
+    # echelon bases of seeded independent rows in GF(3)^5, GF(5)^5, GF(7)^5
+    rng = np.random.default_rng(71)
+    for p in (2, 3, 5, 7):
+        field = PrimeField(p)
+        for n in (1, 2, 3, 5):
+            for k in range(n + 1):
+                if n < 5 or p == 2:
+                    bases = [f.T for f in _grassmannian_stack(p, n, k)]
+                    assert len(bases) == gaussian_binomial(n, k, p)
+                else:
+                    bases = [_row_reduce(independent_family(rng, field, n, k).data, p)[0]
+                             for _ in range(40)]
+                for basis in bases:
+                    pivots = (basis != 0).argmax(axis=1)
+                    units = np.zeros((k, n), dtype=np.int64)
+                    units[np.arange(k), pivots] = 1
+                    duals = dual_family(FieldMatrix(field, basis))
+                    assert np.array_equal(duals.data, units), (p, basis.tolist())
 
 
 def test_dual_family_rejects_dependent_rows():
@@ -240,3 +266,70 @@ def test_normalize_is_stable_under_renormalization():
         assert evaluate_decomposition(twice.decomposition) == evaluate_decomposition(dec)
         assert len(twice.decomposition.terms) == len(once.decomposition.terms)
         assert twice.orthogonality == ((0, 1), (0, 2), (1, 2))
+
+
+def _normalize_corpus(count):
+    """Seeded order-3 decompositions over GF(2), GF(3), GF(5), GF(7).
+
+    Axes of length 0-4 with 0-3 terms each; a term vector is zero, a
+    combination of the axis's earlier vectors, or random.
+    """
+    for i in range(count):
+        rng = np.random.default_rng([67, i])
+        p = int(rng.choice([2, 3, 5, 7]))
+        shape = tuple(int(x) for x in rng.integers(0, 5, size=3))
+        terms = []
+        for axis, n in enumerate(shape):
+            rest = shape[:axis] + shape[axis + 1 :]
+            us = np.zeros((0, n), dtype=np.int64)
+            for _ in range(int(rng.integers(0, 4))):
+                kind = int(rng.integers(0, 3))
+                if kind == 0:
+                    u = np.zeros(n, dtype=np.int64)
+                elif kind == 1:
+                    u = (rng.integers(0, p, size=len(us)) @ us) % p
+                else:
+                    u = rng.integers(0, p, size=n)
+                us = np.vstack([us, u])
+                terms.append(SliceTerm(axis, u, rng.integers(0, p, size=rest)))
+        yield SliceDecomposition(PrimeField(p), shape, tuple(terms))
+
+
+def test_normalize_matches_rebasing_reference():
+    for i, dec in enumerate(_normalize_corpus(400)):
+        out, ref = triangular_normalize(dec), reference_triangular_normalize(dec)
+        got = [(t.axis, t.u.tolist(), t.v.shape, t.v.tolist()) for t in out.decomposition.terms]
+        want = [(t.axis, t.u.tolist(), t.v.shape, t.v.tolist()) for t in ref.decomposition.terms]
+        assert got == want, i
+        assert out.duals == ref.duals, i
+        assert [d.data.shape for d in out.duals] == [d.data.shape for d in ref.duals], i
+        assert out.orthogonality == ref.orthogonality, i
+
+
+def test_normalize_makes_one_reduction_and_one_projection_per_axis(monkeypatch):
+    # no rebase, no dual solve: one row reduction of the term vectors and
+    # one mode_product of the pivot slices for each axis with terms
+    def refuse(*args, **kwargs):
+        raise AssertionError("the staircase pass needs no rebase or dual solve")
+
+    for name in ("rebase_terms", "solve_right", "dual_family"):
+        monkeypatch.setattr(normalize, name, refuse)
+    calls = {"_row_reduce": 0, "mode_product": 0}
+
+    def counted(name):
+        original = getattr(normalize, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(normalize, name, counted(name))
+    for i, dec in enumerate(_normalize_corpus(60)):
+        calls.update(dict.fromkeys(calls, 0))
+        out = triangular_normalize(dec)
+        assert evaluate_decomposition(out.decomposition) == evaluate_decomposition(dec), i
+        axes = len({t.axis for t in dec.terms})
+        assert calls["_row_reduce"] <= axes and calls["mode_product"] <= axes, (i, calls)
