@@ -78,6 +78,15 @@ EXIT_VERIFY = 4
 EXIT_PRECONDITION = 5
 EXIT_BUDGET = 6
 
+# exit status of each error class, read at the first class the error belongs to
+_EXIT_CODES = (
+    (FormatError, EXIT_FORMAT),
+    (EnumerationLimitError, EXIT_LIMIT),
+    (VerificationError, EXIT_VERIFY),
+    (PreconditionError, EXIT_PRECONDITION),
+    (SliceRankError, 1),
+)
+
 
 def _emit(obj, output=None):
     text = dump_json(obj, output)
@@ -349,21 +358,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except EnumerationLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except SliceRankError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -278,19 +278,17 @@ class SupportInfo(NamedTuple):
 
 
 def support_and_antichain(t: Tensor) -> SupportInfo:
-    """Nonzero index tuples, and whether no two are componentwise comparable."""
-    points = [tuple(int(i) for i in idx) for idx in np.argwhere(t.data)]
-    points.sort()
-    is_antichain = True
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            a, b = points[i], points[j]
-            if all(x <= y for x, y in zip(a, b)) or all(x >= y for x, y in zip(a, b)):
-                is_antichain = False
-                break
-        if not is_antichain:
-            break
-    return SupportInfo(tuple(points), is_antichain)
+    """Nonzero index tuples in lexicographic order, and whether no two are comparable.
+
+    ``np.argwhere`` lists the points in lexicographic order, and a point
+    componentwise below another also precedes it there, so each point is
+    compared only with the points after it, one array comparison per
+    point, stopping at the first comparable pair.
+    """
+    points = np.argwhere(t.data)
+    is_antichain = not any((points[k + 1 :] >= points[k]).all(axis=1).any()
+                           for k in range(len(points) - 1))
+    return SupportInfo(tuple(map(tuple, points.tolist())), is_antichain)
 
 
 def is_block_upper_triangular(t: Tensor, blocks: BlockStructure) -> bool:

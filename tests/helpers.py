@@ -27,7 +27,12 @@ elimination ``_batch_ranks`` ran before it was trimmed, the point reference
 rebuilds each subspace's point indices on every call as the bound did before
 they were cached, and the cover reference is the branch and bound
 ``min_slice_cover`` ran before it dropped spent slices and bounded by points
-that share no slice. The dual family reference completes the rows to an
+that share no slice. The cover rank reference charges each point in a loop
+over the cover's slices and derives its certificate by elimination with
+``certificate_from_decomposition``, and the antichain reference compares
+every pair of sorted points both ways, as ``rank_via_cover`` and
+``support_and_antichain`` did before they read both off the cover and the
+lexicographic order. The dual family reference completes the rows to an
 invertible matrix and inverts it by elimination; the reduced-basis reference
 checks row by row. The normalization reference rebases every axis's terms
 with ``rebase_terms``, takes ``dual_family`` of each echelon basis and
@@ -41,7 +46,7 @@ field and shape helpers with ``serialize``.
 """
 
 import math
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -53,8 +58,10 @@ from slicerank import (
     SliceDecomposition,
     SliceTerm,
     Subspace,
+    SupportInfo,
     Tensor,
     block_component,
+    certificate_from_decomposition,
     complete_basis,
     invert_matrix,
     matrix_rank,
@@ -159,6 +166,43 @@ def random_distinguished_axis_tensor(rng, field: PrimeField, blocks: BlockStruct
             size = tuple(s.stop - s.start for s in sl)
             data[sl] = rng.integers(0, field.p, size=size)
     return Tensor(field, blocks.shape, data)
+
+
+def cover_corpus():
+    """Seeded tensors for the cover path, orders 2-4 over GF(2), GF(3), GF(5) and GF(7).
+
+    Per field: zero tensors, zero-length axes, single points, sparse random
+    supports, dense blocks in a corner, and random parts of the permutation
+    antichain of each order d (the permutations of 0..d-1 in a d^d cube),
+    whole and reversed on axis 0 so that it becomes comparable.
+    """
+    rng = np.random.default_rng(131)
+    cases = []
+    for p in (2, 3, 5, 7):
+        field = PrimeField(p)
+
+        def fill(mask):
+            return Tensor(field, mask.shape, np.where(mask, rng.integers(1, p, size=mask.shape), 0))
+
+        for shape in [(4, 5), (3, 3, 3), (2, 4, 3), (3, 2, 3, 2)]:
+            cases.append(Tensor.zeros(field, shape))
+            point = np.zeros(shape, dtype=bool)
+            point[tuple(int(rng.integers(0, n)) for n in shape)] = True
+            cases.append(fill(point))
+            for density in (0.15, 0.4):
+                cases.append(fill(rng.random(shape) < density))
+            block = np.zeros(shape, dtype=bool)
+            block[tuple(slice(0, 2) for _ in shape)] = True
+            cases.append(fill(block))
+        for shape in [(0, 3), (2, 0, 3), (3, 3, 0, 2)]:
+            cases.append(Tensor.zeros(field, shape))
+        for d in (2, 3, 4):
+            antichain = np.zeros((d,) * d, dtype=bool)
+            antichain[tuple(np.array(list(permutations(range(d)))).T)] = True
+            for mask in (antichain, antichain & (rng.random(antichain.shape) < 0.6)):
+                cases.append(fill(mask))
+                cases.append(fill(mask[::-1]))
+    return cases
 
 
 def reference_check_triangular(t: Tensor, blocks: BlockStructure) -> dict:
@@ -580,6 +624,50 @@ def reference_min_slice_cover(t: Tensor) -> CoverResult:
     dfs(0, [])
     chosen_slices = tuple(sorted(slices[i] for i in best))
     return CoverResult(best_size, chosen_slices)
+
+
+def reference_support_and_antichain(t: Tensor) -> SupportInfo:
+    """Nonzero index tuples, and whether no two are componentwise comparable."""
+    points = [tuple(int(i) for i in idx) for idx in np.argwhere(t.data)]
+    points.sort()
+    is_antichain = True
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            a, b = points[i], points[j]
+            if all(x <= y for x, y in zip(a, b)) or all(x >= y for x, y in zip(a, b)):
+                is_antichain = False
+                break
+        if not is_antichain:
+            break
+    return SupportInfo(tuple(points), is_antichain)
+
+
+def reference_rank_via_cover(t: Tensor) -> RankResult:
+    """Rank bound from a minimum slice cover, with witness decomposition.
+
+    Each support point is charged to the first cover slice containing it,
+    which turns the cover into a decomposition with one term per slice.
+    The cover and the antichain flag come from the references above.
+    """
+    cover = reference_min_slice_cover(t)
+    info = reference_support_and_antichain(t)
+    assigned = {sl: np.zeros(t.shape[: sl[0]] + t.shape[sl[0] + 1 :], dtype=np.int64)
+                for sl in cover.slices}
+    for pt in info.support:
+        for sl in cover.slices:
+            axis, x = sl
+            if pt[axis] == x:
+                rest = pt[:axis] + pt[axis + 1 :]
+                assigned[sl][rest] = t.data[pt]
+                break
+    terms = []
+    for axis, x in cover.slices:
+        u = np.zeros(t.shape[axis], dtype=np.int64)
+        u[x] = 1
+        terms.append(SliceTerm(axis, u, assigned[(axis, x)]))
+    dec = SliceDecomposition(t.field, t.shape, tuple(terms))
+    cert = certificate_from_decomposition(dec)
+    return RankResult(cover.count, cert, dec, "cover", exact=info.is_antichain)
 
 
 def reference_dual_family(vectors: FieldMatrix) -> FieldMatrix:

@@ -6,6 +6,14 @@ import pytest
 
 from helpers import random_decomposition
 from slicerank.cli import build_parser, main
+from slicerank.errors import (
+    EnumerationLimitError,
+    FormatError,
+    NonCanonicalBasisError,
+    PreconditionError,
+    SliceRankError,
+    VerificationError,
+)
 from slicerank.serialize import decomposition_to_obj, dump_json, tensor_to_obj
 from slicerank import (
     BlockStructure,
@@ -103,6 +111,21 @@ def test_verify_needs_something(tmp_path, capsys):
     eps_path = write_levi_civita(tmp_path)
     code, _, err = run(capsys, "verify", "-i", eps_path)
     assert code == 5
+
+
+@pytest.mark.parametrize("cls, code", [
+    (FormatError, 2), (EnumerationLimitError, 3), (VerificationError, 4),
+    (PreconditionError, 5), (NonCanonicalBasisError, 5), (SliceRankError, 1),
+])
+def test_error_class_exit_codes(monkeypatch, capsys, cls, code):
+    # each error class a subcommand raises maps to its exit status, with the
+    # message on stderr; the shared parser's demo entry point is swapped
+    def fail(args):
+        raise cls("boom")
+
+    demo = build_parser()._subparsers._group_actions[0].choices["demo"]
+    monkeypatch.setitem(demo._defaults, "func", fail)
+    assert run(capsys, "demo", "levi-civita") == (code, "", "error: boom\n")
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

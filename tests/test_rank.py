@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     brute_matrix_rank,
+    cover_corpus,
     pairing_zero,
     random_decomposition,
     random_subspace,
@@ -13,6 +14,7 @@ from helpers import (
     reference_decomposition_from_certificate,
     reference_first_certificate,
     reference_min_slice_cover,
+    reference_rank_via_cover,
     reference_slice_rank,
     reference_slice_rank_bound,
     reference_subspace_points,
@@ -46,14 +48,13 @@ from slicerank import (
     slice_rank_exact,
     verify_certificate,
 )
-from slicerank import rank
+from slicerank import linalg, rank
 from slicerank.rank import (
     _batch_ranks,
     _canonical_certificate,
     _point_ranks,
     _point_table,
     _slice_rank_bound,
-    _subspace_points,
 )
 from slicerank.serialize import rank_result_to_obj
 from slicerank.tensor import mode_product
@@ -484,6 +485,37 @@ def test_rank_via_cover_flags():
     assert evaluate_decomposition(diag_result.decomposition) == diag
 
 
+def test_rank_via_cover_matches_reference():
+    # the cover, the slice-order charging and the coordinate certificate give
+    # the reference's cover, decomposition, certificate and flag exactly, and
+    # the certificate is the one the decomposition derives by elimination
+    for t in cover_corpus():
+        got, expected = rank_via_cover(t), reference_rank_via_cover(t)
+        assert min_slice_cover(t) == reference_min_slice_cover(t), t.data.tolist()
+        assert (got.sigma, got.exact, got.method) == (expected.sigma, expected.exact, "cover")
+        assert got.certificate == expected.certificate, t.data.tolist()
+        assert got.certificate == certificate_from_decomposition(got.decomposition)
+        assert len(got.decomposition.terms) == len(expected.decomposition.terms)
+        for a, b in zip(got.decomposition.terms, expected.decomposition.terms):
+            assert a.axis == b.axis and np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+        assert rank_result_to_obj(got) == rank_result_to_obj(expected)
+
+
+def test_rank_via_cover_runs_no_elimination(monkeypatch):
+    # both witnesses are read off the cover: with the annihilator and the
+    # derived certificate unavailable the answers are unchanged
+    cases = [levi_civita(GF3), diagonal_tensor(GF2, 3, 2)] + cover_corpus()[::7]
+    expected = [rank_result_to_obj(rank_via_cover(t)) for t in cases]
+
+    def refuse(*args):
+        raise AssertionError("rank_via_cover ran an elimination")
+
+    monkeypatch.setattr(linalg, "kernel_basis", refuse)
+    monkeypatch.setattr(rank, "annihilator", refuse)
+    monkeypatch.setattr(rank, "certificate_from_decomposition", refuse)
+    assert [rank_result_to_obj(rank_via_cover(t)) for t in cases] == expected
+
+
 def test_fully_decomposable_tensors_have_rank_one():
     from slicerank import outer_product_tensor
 
@@ -603,7 +635,8 @@ def test_slice_rank_bound_matches_reference_and_stays_below_sigma():
     for p, data in arrays:
         if not data.any():
             continue
-        bound = _slice_rank_bound(data, p, min(data.shape) + 1, 0)
+        cap = min(data.shape) + 1
+        bound = _slice_rank_bound(data, p, cap, 0, _point_ranks(data, p, cap))
         assert bound == reference_slice_rank_bound(data, p), (p, data.tolist())
         assert bound >= reference_basis_slice_rank_bound(data, p), (p, data.tolist())
         sigma = reference_slice_rank(Tensor(PrimeField(p), data.shape, data)).sigma
@@ -615,7 +648,7 @@ def test_slice_rank_bound_reaches_sigma_on_random_5x5x5_gf2():
     # reaches it is sigma; on the first array the basis-only bound does not
     for i, data in enumerate(_seed_2024_arrays()):
         flat = min(brute_matrix_rank(np.moveaxis(data, a, 0).reshape(5, -1), 2) for a in range(3))
-        bound = _slice_rank_bound(data, 2, 6, 0)
+        bound = _slice_rank_bound(data, 2, 6, 0, _point_ranks(data, 2, 6))
         assert bound == flat == reference_slice_rank_bound(data, 2), i
         assert slice_rank_exact(Tensor(GF2, data.shape, data)).sigma == bound, i
     assert reference_basis_slice_rank_bound(_seed_2024_arrays()[0], 2) < 5
@@ -757,7 +790,7 @@ def test_point_table_matches_reference_and_is_shared_read_only():
             assert not table.flags.writeable
             assert _point_table(p, n, dim) is table
             for step in (1, 3, 1 << 20):
-                got = list(_subspace_points(p, n, dim, step))
+                got = [table[k0 : k0 + step] for k0 in range(0, len(table), step)]
                 expected = list(reference_subspace_points(p, n, dim, step))
                 assert len(got) == len(expected), (p, n, dim, step)
                 for a, b in zip(got, expected):
@@ -778,15 +811,13 @@ def test_point_table_stores_the_narrowest_index_type():
 
 
 def test_point_ranks_are_shared_with_the_bound():
-    # the bound takes the point ranks as given, and a fifth argument equal
-    # to what it computes itself gives the same bound
+    # the bound takes the point ranks as given: all-zero ranks bound sigma by 0
     rng = np.random.default_rng(83)
     for p, shape in [(2, (3, 3, 3)), (3, (2, 3, 4)), (3, (4, 4, 4)), (2, (2, 3, 3, 3)), (5, (3, 3))]:
         data = rng.integers(0, p, size=shape)
         cap = min(shape) + 1
         points = _point_ranks(data, p, cap)
         assert points.shape == (1,) + tuple((p**n - 1) // (p - 1) for n in shape[:-2])
-        assert _slice_rank_bound(data, p, cap, 0, points) == _slice_rank_bound(data, p, cap, 0)
         assert _slice_rank_bound(data, p, cap, 0, np.zeros_like(points)) == 0
 
 

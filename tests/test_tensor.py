@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import reference_is_block_upper_triangular, reference_random_block_upper_triangular
+from helpers import (
+    cover_corpus,
+    reference_is_block_upper_triangular,
+    reference_random_block_upper_triangular,
+    reference_support_and_antichain,
+)
 from slicerank import (
     BlockStructure,
     PreconditionError,
@@ -240,6 +245,18 @@ def test_support_antichain_levi_civita():
 def test_support_antichain_diagonal_false():
     info = support_and_antichain(diagonal_tensor(GF2, 3, 2))
     assert not info.is_antichain
+
+
+def test_support_and_antichain_matches_reference():
+    # comparing each point with the later points only, in argwhere order,
+    # gives the reference's sorted support of int tuples and its flag
+    flags = set()
+    for t in cover_corpus():
+        info = support_and_antichain(t)
+        assert info == reference_support_and_antichain(t), t.data.tolist()
+        assert all(type(i) is int for pt in info.support for i in pt)
+        flags.add(info.is_antichain)
+    assert flags == {True, False}
 
 
 def test_support_antichain_zero_tensor():
