@@ -106,6 +106,14 @@ def _parse_blocks(text: str) -> BlockStructure:
     return blocks
 
 
+def nonnegative_int(text: str) -> int:
+    """The argparse type of ``--seed`` and ``--trials``: a negative value exits 2."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def _parse_shape(text: str) -> tuple[int, ...]:
     try:
         shape = tuple(int(x) for x in text.split(","))
@@ -211,36 +219,30 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
+def _run_trials(args, check) -> int:
+    """Write the report of ``check`` for each trial's own seeded generator; exit 4 on a violation."""
+    violations = 0
+    for trial in range(args.trials):
+        report = check(np.random.default_rng([args.seed, trial]))
+        report["trial"] = trial
+        sys.stdout.write(dump_json(report))
+        violations += report["status"] == "violation"
+    return EXIT_VERIFY if violations else EXIT_OK
+
+
 def cmd_additivity(args) -> int:
     field = PrimeField(args.prime)
     shape = _parse_shape(args.shape)
     check_shape(tuple(2 * n for n in shape))  # the direct sum of two summands
-    failures = 0
-    for trial in range(args.trials):
-        rng = np.random.default_rng([args.seed, trial])
-        t1 = random_tensor(field, shape, rng)
-        t2 = random_tensor(field, shape, rng)
-        report = check_additivity(t1, t2, limit=args.limit)
-        report["trial"] = trial
-        sys.stdout.write(dump_json(report))
-        if report["status"] != "equal":
-            failures += 1
-    return EXIT_VERIFY if failures else EXIT_OK
+    return _run_trials(args, lambda rng: check_additivity(
+        random_tensor(field, shape, rng), random_tensor(field, shape, rng), limit=args.limit))
 
 
 def cmd_triangular(args) -> int:
     field = PrimeField(args.prime)
     blocks = _parse_blocks(args.blocks)
-    failures = 0
-    for trial in range(args.trials):
-        rng = np.random.default_rng([args.seed, trial])
-        t = random_block_upper_triangular(field, blocks, rng)
-        report = check_triangular(t, blocks, limit=args.limit)
-        report["trial"] = trial
-        sys.stdout.write(dump_json(report))
-        if report["status"] == "violation":
-            failures += 1
-    return EXIT_VERIFY if failures else EXIT_OK
+    return _run_trials(args, lambda rng: check_triangular(
+        random_block_upper_triangular(field, blocks, rng), blocks, limit=args.limit))
 
 
 def cmd_normalize_d3(args) -> int:
@@ -332,16 +334,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_add = sub.add_parser("additivity", help="check rank additivity on random direct sums")
     p_add.add_argument("--shape", required=True, help="shape of each summand, e.g. '2,2,2'")
     p_add.add_argument("--prime", type=int, required=True)
-    p_add.add_argument("--trials", type=int, required=True)
-    p_add.add_argument("--seed", type=int, required=True)
+    p_add.add_argument("--trials", type=nonnegative_int, required=True)
+    p_add.add_argument("--seed", type=nonnegative_int, required=True)
     p_add.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT)
     p_add.set_defaults(func=cmd_additivity)
 
     p_tri = sub.add_parser("triangular", help="check the block-triangular inequality on random tensors")
     p_tri.add_argument("--blocks", required=True, help="per-axis block sizes, e.g. '1,1,1;1,1,1;1,1,1'")
     p_tri.add_argument("--prime", type=int, required=True)
-    p_tri.add_argument("--trials", type=int, required=True)
-    p_tri.add_argument("--seed", type=int, required=True)
+    p_tri.add_argument("--trials", type=nonnegative_int, required=True)
+    p_tri.add_argument("--seed", type=nonnegative_int, required=True)
     p_tri.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT)
     p_tri.set_defaults(func=cmd_triangular)
 

@@ -2,15 +2,15 @@
 
 A certificate for a block-diagonal tensor can be cut into one certificate
 per diagonal block without losing any of its bound. On each axis the
-certificate basis is echelonized in one of two pivot orders: with forward
-pivots, rows pivoting inside block 1 are truncated to block-1 coordinates
-and the remaining rows already vanish there; with backward pivots the roles
-of the blocks mirror. Whenever at least one axis uses each order, the two
-collections of per-block subspaces annihilate the two diagonal components,
-and on every axis the block codimensions add up to the original one. That
-is the engine behind rank additivity of direct sums and behind the lower
-bounds for block upper triangular tensors, and this module also ships
-oracle-backed checkers for both.
+certificate basis is echelonized in one of two pivot orders, forward or
+backward, and one rule serves both: rows pivoting inside block 1 come
+first, and every row is cut to its own block. Whenever at least one axis
+uses each order, the two collections of per-block subspaces annihilate the
+two diagonal components, and on every axis the block codimensions add up
+to the original one. That is the engine behind rank additivity of direct
+sums and behind the lower bounds for block upper triangular tensors, and
+this module also ships oracle-backed checkers for both. Blocks, direct sums
+of any number of parts and fold levels are all laid out by ``BlockStructure``.
 """
 
 from __future__ import annotations
@@ -101,33 +101,33 @@ class SplitTrace:
 
 
 def _split_axis(sub: Subspace, s: int, option: str) -> AxisSplit:
-    field = sub.field
-    n = sub.ambient_dim
+    """Cut the basis, echelonized in the option's pivot order, at block offset s.
+
+    A row pivots in block 1 when it has a nonzero left of s (first option)
+    or none from s on (second option); those rows come first.
+    """
+    field, n = sub.field, sub.ambient_dim
     if option == FIRST:
-        rows = sub.basis.data.copy()        # already forward-reduced
-        pivots = [int(np.flatnonzero(r)[0]) for r in rows]
-        k = sum(1 for c in pivots if c < s)  # block-1 pivot rows form a prefix
-        w1 = rows[:k].copy()
-        w1[:, s:] = 0
-        w2 = rows[k:]
-        # each row keeps its pivot on its side of s, so both blocks of a
+        rows = sub.basis.data  # already forward-reduced
+        in_block1 = (rows[:, :s] != 0).any(axis=1)
+    else:
+        rows = echelonize(sub.basis, "backward").matrix.data
+        in_block1 = ~(rows[:, s:] != 0).any(axis=1)
+    w1, w2 = rows[in_block1], rows[~in_block1]
+    w1[:, s:] = 0
+    w2[:, :s] = 0
+    k = len(w1)
+    if option == FIRST:
+        # each row keeps its pivot on its side of s, so both cuts of a
         # reduced basis are reduced
         block1 = Subspace(field, s, FieldMatrix(field, w1[:, :s]))
         block2 = Subspace(field, n - s, FieldMatrix(field, w2[:, s:]))
     else:
-        ech = echelonize(sub.basis, "backward")
-        rows = ech.matrix.data
-        in_block1 = [c < s for c in ech.pivots]  # last pivot inside block 1
-        w1 = rows[[i for i, b in enumerate(in_block1) if b]]
-        w2 = rows[[i for i, b in enumerate(in_block1) if not b]].copy()
-        w2[:, :s] = 0
-        k = w1.shape[0]
         block1 = Subspace.from_rows(field, w1[:, :s], ambient_dim=s)
         block2 = Subspace.from_rows(field, w2[:, s:], ambient_dim=n - s)
         if block1.dim != k or block2.dim != sub.dim - k:
             raise AssertionError("split rows lost independence")
-    w = np.vstack([w1, w2]) if w1.size or w2.size else np.zeros((0, n), dtype=np.int64)
-    return AxisSplit(FieldMatrix(field, w), k, block1, block2)
+    return AxisSplit(FieldMatrix(field, np.vstack([w1, w2])), k, block1, block2)
 
 
 def split_certificate(
@@ -177,7 +177,8 @@ def split_certificate_distinguished_axis(
     option on the distinguished axis and the first option elsewhere, and
     the derived certificates witness that the rank of t is at least the
     rank of the leading diagonal component plus the rank of the trailing
-    one.
+    one. The lexicographically least nonzero forbidden component is reported,
+    block indices read as binary numbers, axis 0 first, one uint64 per cell.
     """
     if blocks.num_blocks != 2:
         raise PreconditionError("two blocks per axis are required")
@@ -185,55 +186,58 @@ def split_certificate_distinguished_axis(
         raise PreconditionError("block structure does not match tensor shape")
     d = t.order
     special = special_axis % d
-    for alpha in np.ndindex(*(2,) * d):
-        if alpha[special] == 1 or all(a == 0 for a in alpha):
-            continue
-        if block_component(t, blocks, alpha).data.any():
-            raise PreconditionError(
-                f"support condition violated: block component {tuple(alpha)} is nonzero"
-            )
+    code = np.zeros((), dtype=np.uint64)
+    for block_of in blocks.block_of:
+        code = code[..., None] * 2 + block_of.astype(np.uint64)
+    codes = code[t.data != 0]
+    forbidden = codes[((codes >> (d - 1 - special) & 1) == 0) & (codes != 0)]
+    if forbidden.size:
+        least = int(forbidden.min())
+        alpha = tuple(least >> (d - 1 - i) & 1 for i in range(d))
+        raise PreconditionError(f"support condition violated: block component {alpha} is nonzero")
     pattern = [FIRST] * d
     pattern[special] = SECOND
     return split_certificate(c, blocks, OptionChoice(tuple(pattern)))
 
 
-def direct_sum_certificate(c1: DualCertificate, c2: DualCertificate) -> DualCertificate:
-    """Certificate for a direct sum from certificates of the parts.
+def direct_sum_certificate(*certs: DualCertificate) -> DualCertificate:
+    """Certificate for a direct sum from certificates of any number of parts.
 
-    On each axis the bases are stacked block-diagonally; the result is
-    already reduced, verifies against the sum whenever the inputs verify
-    against the parts, and its bound is the sum of the input bounds.
+    On each axis the basis is the direct sum of the parts' bases (rows by
+    dimension, columns by ambient dimension); the result is already reduced,
+    verifies against the sum whenever the inputs verify against the parts,
+    and its bound is the sum of the input bounds. Mixed fields are refused.
     """
-    if len(c1.subspaces) != len(c2.subspaces):
+    if len({len(c.subspaces) for c in certs}) > 1:
         raise PreconditionError("certificates must have the same number of axes")
     subs = []
-    for s1, s2 in zip(c1.subspaces, c2.subspaces):
-        n1, n2 = s1.ambient_dim, s2.ambient_dim
-        left = np.hstack([s1.basis.data, np.zeros((s1.dim, n2), dtype=np.int64)])
-        right = np.hstack([np.zeros((s2.dim, n1), dtype=np.int64), s2.basis.data])
-        stacked = np.vstack([left, right])
-        subs.append(Subspace(s1.field, n1 + n2, FieldMatrix(s1.field, stacked)))
+    for parts in zip(*(c.subspaces for c in certs)):
+        stacked, _ = direct_sum_list([Tensor(s.field, s.basis.data.shape, s.basis.data) for s in parts])
+        subs.append(Subspace(stacked.field, stacked.shape[1], FieldMatrix(stacked.field, stacked.data)))
     return DualCertificate(tuple(subs))
 
 
-def direct_sum_decomposition(
-    d1: SliceDecomposition, d2: SliceDecomposition
-) -> SliceDecomposition:
-    """Decomposition of a direct sum obtained by embedding the parts' terms."""
-    if d1.field != d2.field or len(d1.shape) != len(d2.shape):
+def direct_sum_decomposition(*decs: SliceDecomposition) -> SliceDecomposition:
+    """Decomposition of a direct sum of any number of parts, embedding their terms.
+
+    Part j's terms sit at block (j, ..., j): each term's vector at its axis's
+    block slice and its cotensor at the other axes' slices.
+    """
+    if any(dec.field != decs[0].field or len(dec.shape) != len(decs[0].shape) for dec in decs):
         raise PreconditionError("decompositions must share field and order")
-    shape = tuple(a + b for a, b in zip(d1.shape, d2.shape))
+    blocks = BlockStructure(tuple(zip(*(dec.shape for dec in decs))))
+    shape = blocks.shape
     terms = []
-    for dec, starts in ((d1, (0,) * len(shape)), (d2, d1.shape)):
+    for j, dec in enumerate(decs):
+        sl = blocks.block_slices((j,) * blocks.order)
         for term in dec.terms:
             axis = term.axis
             u = np.zeros(shape[axis], dtype=np.int64)
-            u[starts[axis] : starts[axis] + len(term.u)] = term.u
+            u[sl[axis]] = term.u
             v = np.zeros(shape[:axis] + shape[axis + 1 :], dtype=np.int64)
-            rest = starts[:axis] + starts[axis + 1 :]
-            v[tuple(slice(s, s + n) for s, n in zip(rest, term.v.shape))] = term.v
+            v[sl[:axis] + sl[axis + 1 :]] = term.v
             terms.append(SliceTerm(axis, u, v))
-    return SliceDecomposition(d1.field, shape, tuple(terms))
+    return SliceDecomposition(decs[0].field, shape, tuple(terms))
 
 
 def check_additivity(
@@ -267,10 +271,11 @@ def check_triangular(
 
     Also walks the fold chain: merge blocks 1..k-1 against block k, verify
     the two-block inequality at every level, and recurse into the merged
-    leading component. The report is plain JSON values, except the
-    certificates (one per diagonal block, then the whole tensor's), which
-    are ``DualCertificate`` values that ``dump_json`` writes in the
-    certificate wire format.
+    leading component; level kk slices its three tensors from t at the block
+    offsets. The report is plain JSON values, except the certificates (one
+    per diagonal block, then the whole tensor's), which are
+    ``DualCertificate`` values that ``dump_json`` writes in the certificate
+    wire format.
     """
     if not is_block_upper_triangular(t, blocks):
         raise PreconditionError("tensor is not block upper triangular for these blocks")
@@ -289,19 +294,15 @@ def check_triangular(
     else:
         status = "violation"
 
+    def blocks_between(lo: int, hi: int) -> Tensor:  # blocks lo..hi-1 on every axis
+        sub = t.data[tuple(slice(off[lo], off[hi]) for off in blocks.offsets)]
+        return Tensor(t.field, sub.shape, sub)
+
     fold_chain = []
-    current = t
-    current_sizes = blocks.sizes
-    while len(current_sizes[0]) >= 2:
-        kk = len(current_sizes[0])
-        folded = BlockStructure(
-            tuple((sum(axis[: kk - 1]), axis[kk - 1]) for axis in current_sizes)
-        )
-        leading = block_component(current, folded, (0,) * d)
-        trailing = block_component(current, folded, (1,) * d)
-        sig_cur = slice_rank_exact(current, limit=limit).sigma
-        sig_lead = slice_rank_exact(leading, limit=limit).sigma
-        sig_trail = slice_rank_exact(trailing, limit=limit).sigma
+    for kk in range(k, 1, -1):
+        sig_cur = slice_rank_exact(blocks_between(0, kk), limit=limit).sigma
+        sig_lead = slice_rank_exact(blocks_between(0, kk - 1), limit=limit).sigma
+        sig_trail = slice_rank_exact(blocks_between(kk - 1, kk), limit=limit).sigma
         step_ok = sig_cur >= sig_lead + sig_trail
         fold_chain.append(
             {
@@ -314,8 +315,6 @@ def check_triangular(
         )
         if not step_ok:
             status = "violation"
-        current = leading
-        current_sizes = tuple(axis[: kk - 1] for axis in current_sizes)
 
     return {
         "sigma_parts": [r.sigma for r in diag_results],
@@ -348,10 +347,7 @@ def levi_civita_obstruction_demo(m: int, field=None) -> dict:
         return {}
 
     eps = levi_civita(field)
-    base_dec = levi_civita_decomposition(field)
-    dec = base_dec
-    for _ in range(m - 1):
-        dec = direct_sum_decomposition(dec, base_dec)
+    dec = direct_sum_decomposition(*[levi_civita_decomposition(field)] * m)
     total, _ = direct_sum_list([eps] * m)
 
     axis0 = dec.terms_on_axis(0)
@@ -372,9 +368,7 @@ def levi_civita_obstruction_demo(m: int, field=None) -> dict:
         raise AssertionError("block-reversed support should be an antichain")
     cover = min_slice_cover(total)
     single = slice_rank_exact(eps)
-    upper_cert = single.certificate
-    for _ in range(m - 1):
-        upper_cert = direct_sum_certificate(upper_cert, single.certificate)
+    upper_cert = direct_sum_certificate(*[single.certificate] * m)
     if not verify_certificate(total, upper_cert) or upper_cert.bound != cover.count:
         raise AssertionError("rank bounds disagree for the stacked tensor")
     sigma_true = cover.count

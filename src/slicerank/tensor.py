@@ -6,18 +6,18 @@ construction; order-1 values only ever appear as contraction results and
 are returned as plain vectors. Indices are 0-based everywhere inside the
 package; file formats and the CLI use 1-based indices.
 
-Block structures keep their shape and block offsets once computed. The
-block upper triangular check is one entrywise mask built from each axis's
-block numbers, and the random block upper triangular generator visits
-only the nondecreasing block indices, in lexicographic order, so neither
-loops over all k^d block indices.
+Block structures keep their shape, offsets and per-index block numbers
+once computed, and direct sums and block components are laid out through
+them. The block upper triangular check is one mask built from the block
+numbers, and the random block upper triangular generator visits only the
+nondecreasing indices of blocks nonempty on every axis, at most one per cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, combinations_with_replacement, permutations
+from itertools import accumulate, permutations, product
 from math import prod
 from typing import NamedTuple, Sequence, Union
 
@@ -80,8 +80,9 @@ class Tensor:
 class BlockStructure:
     """Consecutive block sizes per axis, the same block count k on every axis.
 
-    ``shape`` and ``offsets`` are computed from the sizes on first use and
-    kept; they are not fields, so equality and hashing see only the sizes.
+    ``shape``, ``offsets`` and ``block_of`` are computed from the sizes on
+    first use and kept; they are not fields, so equality and hashing see
+    only the sizes.
     """
 
     sizes: tuple[tuple[int, ...], ...]
@@ -116,6 +117,11 @@ class BlockStructure:
     def offsets(self) -> tuple[tuple[int, ...], ...]:
         """Per axis, the start offset of every block and then the axis length (k + 1 each)."""
         return tuple(tuple(accumulate(axis, initial=0)) for axis in self.sizes)
+
+    @cached_property
+    def block_of(self) -> tuple[np.ndarray, ...]:
+        """Per axis, the block number of every index."""
+        return tuple(_freeze(np.repeat(np.arange(self.num_blocks), axis)) for axis in self.sizes)
 
     def block_slices(self, alpha: Sequence[int]) -> tuple[slice, ...]:
         if len(alpha) != self.order:
@@ -222,7 +228,7 @@ def flatten(t: Tensor, axis: int) -> FieldMatrix:
 
 
 def direct_sum_list(tensors: Sequence[Tensor]) -> tuple[Tensor, BlockStructure]:
-    """Block-diagonal sum of several tensors on concatenated index ranges."""
+    """Block-diagonal sum of several tensors: summand j sits at block (j, ..., j)."""
     if not tensors:
         raise PreconditionError("direct sum of zero tensors is undefined")
     first = tensors[0]
@@ -231,17 +237,11 @@ def direct_sum_list(tensors: Sequence[Tensor]) -> tuple[Tensor, BlockStructure]:
             raise PreconditionError("direct summands must share the field")
         if t.order != first.order:
             raise PreconditionError("direct summands must share the order")
-    d = first.order
-    shape = tuple(sum(t.shape[i] for t in tensors) for i in range(d))
-    data = np.zeros(shape, dtype=np.int64)
-    offsets = [0] * d
-    for t in tensors:
-        sl = tuple(slice(offsets[i], offsets[i] + t.shape[i]) for i in range(d))
-        data[sl] = t.data
-        for i in range(d):
-            offsets[i] += t.shape[i]
-    blocks = BlockStructure(tuple(tuple(t.shape[i] for t in tensors) for i in range(d)))
-    return Tensor(first.field, shape, data), blocks
+    blocks = BlockStructure(tuple(zip(*(t.shape for t in tensors))))
+    data = np.zeros(blocks.shape, dtype=np.int64)
+    for j, t in enumerate(tensors):
+        data[blocks.block_slices((j,) * first.order)] = t.data
+    return Tensor(first.field, blocks.shape, data), blocks
 
 
 def direct_sum(t1: Tensor, t2: Tensor) -> tuple[Tensor, BlockStructure]:
@@ -300,8 +300,7 @@ def is_block_upper_triangular(t: Tensor, blocks: BlockStructure) -> bool:
     """
     if blocks.shape != t.shape:
         raise PreconditionError("block structure does not match tensor shape")
-    d, k = t.order, blocks.num_blocks
-    block_of = [np.repeat(np.arange(k), axis) for axis in blocks.sizes]
+    d, block_of = t.order, blocks.block_of
     outside = np.zeros(t.shape, dtype=bool)
     for i in range(d - 1):
         descent = block_of[i][:, None] > block_of[i + 1][None, :]
@@ -399,10 +398,13 @@ def random_block_upper_triangular(
     """Random tensor with support confined to nondecreasing block components.
 
     The components are filled in lexicographic order of their block index,
-    one draw each.
+    one draw each. An empty component's draw has size 0 and leaves the
+    generator as it was, so only components nonempty on every axis are visited.
     """
     data = np.zeros(blocks.shape, dtype=np.int64)
-    for alpha in combinations_with_replacement(range(blocks.num_blocks), blocks.order):
-        sl = blocks.block_slices(alpha)
-        data[sl] = rng.integers(0, field.p, size=data[sl].shape)
+    nonempty = [[a for a, n in enumerate(axis) if n] for axis in blocks.sizes]
+    for alpha in product(*nonempty):
+        if all(a <= b for a, b in zip(alpha, alpha[1:])):
+            sl = blocks.block_slices(alpha)
+            data[sl] = rng.integers(0, field.p, size=data[sl].shape)
     return Tensor(field, blocks.shape, data)

@@ -42,7 +42,13 @@ reduction reference scans each column twice with ``np.flatnonzero``, and
 the kernel reference writes its vectors entry by entry, as both did before
 they were vectorized. The parse references are the per-entry loops the
 wire-format readers ran before they checked in bulk; they share only the
-field and shape helpers with ``serialize``.
+field and shape helpers with ``serialize``. The split references are the
+two pivot-order branches ``_split_axis`` ran before one rule served both,
+and the loop over all 2^d block indices that checked the distinguished-axis
+support condition component by component; the direct sum references are
+the offset loop of ``direct_sum_list`` and the two-part
+``direct_sum_decomposition`` and ``direct_sum_certificate``, as shipped
+before the sums were laid out by ``BlockStructure``.
 """
 
 import math
@@ -68,7 +74,7 @@ from slicerank import (
     slice_rank_exact,
     verify_certificate,
 )
-from slicerank.linalg import _row_reduce, grassmannian
+from slicerank.linalg import _row_reduce, echelonize, grassmannian
 from slicerank.normalize import NormalizedDecomposition, dual_family, rebase_terms
 from slicerank.rank import CoverResult, RankResult, _grassmannian_stack
 from slicerank.errors import FormatError, PreconditionError, SliceRankError, VerificationError
@@ -80,6 +86,7 @@ from slicerank.serialize import (
     certificate_to_obj,
     check_shape,
 )
+from slicerank.splitting import FIRST, AxisSplit
 from slicerank.tensor import evaluate_decomposition, mode_product
 
 
@@ -918,3 +925,130 @@ def reference_subspace_from_obj(obj, field: PrimeField) -> Subspace:
         _require(all(0 <= x < field.p for x in row), "basis entries must be residues")
     arr = np.array(basis, dtype=np.int64).reshape(len(basis), ambient)
     return Subspace(field, ambient, FieldMatrix(field, arr))
+
+
+def reference_split_axis(sub: Subspace, s: int, option: str) -> AxisSplit:
+    """One axis of the split, each pivot order on its own branch, as shipped before."""
+    field = sub.field
+    n = sub.ambient_dim
+    if option == FIRST:
+        rows = sub.basis.data.copy()        # already forward-reduced
+        pivots = [int(np.flatnonzero(r)[0]) for r in rows]
+        k = sum(1 for c in pivots if c < s)  # block-1 pivot rows form a prefix
+        w1 = rows[:k].copy()
+        w1[:, s:] = 0
+        w2 = rows[k:]
+        # each row keeps its pivot on its side of s, so both blocks of a
+        # reduced basis are reduced
+        block1 = Subspace(field, s, FieldMatrix(field, w1[:, :s]))
+        block2 = Subspace(field, n - s, FieldMatrix(field, w2[:, s:]))
+    else:
+        ech = echelonize(sub.basis, "backward")
+        rows = ech.matrix.data
+        in_block1 = [c < s for c in ech.pivots]  # last pivot inside block 1
+        w1 = rows[[i for i, b in enumerate(in_block1) if b]]
+        w2 = rows[[i for i, b in enumerate(in_block1) if not b]].copy()
+        w2[:, :s] = 0
+        k = w1.shape[0]
+        block1 = Subspace.from_rows(field, w1[:, :s], ambient_dim=s)
+        block2 = Subspace.from_rows(field, w2[:, s:], ambient_dim=n - s)
+        if block1.dim != k or block2.dim != sub.dim - k:
+            raise AssertionError("split rows lost independence")
+    w = np.vstack([w1, w2]) if w1.size or w2.size else np.zeros((0, n), dtype=np.int64)
+    return AxisSplit(FieldMatrix(field, w), k, block1, block2)
+
+
+def reference_distinguished_axis_support(t: Tensor, blocks: BlockStructure, special_axis: int = -1) -> None:
+    """The distinguished-axis support check, one block component at a time over all 2^d."""
+    d = t.order
+    special = special_axis % d
+    for alpha in np.ndindex(*(2,) * d):
+        if alpha[special] == 1 or all(a == 0 for a in alpha):
+            continue
+        if block_component(t, blocks, alpha).data.any():
+            raise PreconditionError(
+                f"support condition violated: block component {tuple(alpha)} is nonzero"
+            )
+
+
+def reference_direct_sum_list(tensors) -> tuple[Tensor, BlockStructure]:
+    """Block-diagonal sum placed by running offsets, as shipped before."""
+    if not tensors:
+        raise PreconditionError("direct sum of zero tensors is undefined")
+    first = tensors[0]
+    for t in tensors[1:]:
+        if t.field != first.field:
+            raise PreconditionError("direct summands must share the field")
+        if t.order != first.order:
+            raise PreconditionError("direct summands must share the order")
+    d = first.order
+    shape = tuple(sum(t.shape[i] for t in tensors) for i in range(d))
+    data = np.zeros(shape, dtype=np.int64)
+    offsets = [0] * d
+    for t in tensors:
+        sl = tuple(slice(offsets[i], offsets[i] + t.shape[i]) for i in range(d))
+        data[sl] = t.data
+        for i in range(d):
+            offsets[i] += t.shape[i]
+    blocks = BlockStructure(tuple(tuple(t.shape[i] for t in tensors) for i in range(d)))
+    return Tensor(first.field, shape, data), blocks
+
+
+def reference_direct_sum_certificate(c1: DualCertificate, c2: DualCertificate) -> DualCertificate:
+    """Two-part certificate sum, each axis stacked by hand, as shipped before."""
+    if len(c1.subspaces) != len(c2.subspaces):
+        raise PreconditionError("certificates must have the same number of axes")
+    subs = []
+    for s1, s2 in zip(c1.subspaces, c2.subspaces):
+        n1, n2 = s1.ambient_dim, s2.ambient_dim
+        left = np.hstack([s1.basis.data, np.zeros((s1.dim, n2), dtype=np.int64)])
+        right = np.hstack([np.zeros((s2.dim, n1), dtype=np.int64), s2.basis.data])
+        stacked = np.vstack([left, right])
+        subs.append(Subspace(s1.field, n1 + n2, FieldMatrix(s1.field, stacked)))
+    return DualCertificate(tuple(subs))
+
+
+def reference_direct_sum_decomposition(
+    d1: SliceDecomposition, d2: SliceDecomposition
+) -> SliceDecomposition:
+    """Two-part decomposition sum from start offsets, as shipped before."""
+    if d1.field != d2.field or len(d1.shape) != len(d2.shape):
+        raise PreconditionError("decompositions must share field and order")
+    shape = tuple(a + b for a, b in zip(d1.shape, d2.shape))
+    terms = []
+    for dec, starts in ((d1, (0,) * len(shape)), (d2, d1.shape)):
+        for term in dec.terms:
+            axis = term.axis
+            u = np.zeros(shape[axis], dtype=np.int64)
+            u[starts[axis] : starts[axis] + len(term.u)] = term.u
+            v = np.zeros(shape[:axis] + shape[axis + 1 :], dtype=np.int64)
+            rest = starts[:axis] + starts[axis + 1 :]
+            v[tuple(slice(s, s + n) for s, n in zip(rest, term.v.shape))] = term.v
+            terms.append(SliceTerm(axis, u, v))
+    return SliceDecomposition(d1.field, shape, tuple(terms))
+
+
+def two_block_corpus():
+    """Seeded (tensor, certificate, blocks) triples on two blocks per axis.
+
+    Orders 2-4 over GF(2), GF(3) and GF(5), block sizes 0-2 (so zero-size
+    axes and empty blocks occur), random certificates of every dimension,
+    and tensors with random entries on a random set of block components, so
+    that some satisfy the distinguished-axis support condition and some do not.
+    """
+    rng = np.random.default_rng(1818)
+    cases = []
+    for p in (2, 3, 5):
+        field = PrimeField(p)
+        for d in (2, 3, 4):
+            for _ in range(8):
+                blocks = BlockStructure(tuple(tuple(int(x) for x in rng.integers(0, 3, size=2))
+                                              for _ in range(d)))
+                data = np.zeros(blocks.shape, dtype=np.int64)
+                for alpha in product(range(2), repeat=d):
+                    if rng.random() < 0.3:
+                        sl = blocks.block_slices(alpha)
+                        data[sl] = rng.integers(0, p, size=data[sl].shape)
+                cert = DualCertificate(tuple(random_subspace(rng, field, n) for n in blocks.shape))
+                cases.append((Tensor(field, blocks.shape, data), cert, blocks))
+    return cases

@@ -427,6 +427,21 @@ def test_additivity_zero_trials(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--trials"])
+@pytest.mark.parametrize("command", [
+    ("additivity", "--shape", "2,2,2"),
+    ("triangular", "--blocks", "1,1;1,1;1,1"),
+])
+def test_harness_refuses_negative_seed_and_trials(capsys, command, flag):
+    values = {"--prime": "2", "--seed": "0", "--trials": "1", flag: "-1"}
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *(x for item in values.items() for x in item)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: expected a nonnegative integer" in captured.err
+
+
 def test_triangular_stream(capsys):
     code, out, _ = run(
         capsys, "triangular", "--blocks", "1,1;1,1;1,1", "--prime", "2",

@@ -1,9 +1,22 @@
 import json
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
-from helpers import random_distinguished_axis_tensor, reference_check_triangular
+from helpers import (
+    random_decomposition,
+    random_distinguished_axis_tensor,
+    random_subspace,
+    reference_check_triangular,
+    reference_direct_sum_certificate,
+    reference_direct_sum_decomposition,
+    reference_distinguished_axis_support,
+    reference_split_axis,
+    two_block_corpus,
+)
+from slicerank import splitting
 from slicerank import (
     BlockStructure,
     DualCertificate,
@@ -22,6 +35,7 @@ from slicerank import (
     direct_sum,
     direct_sum_certificate,
     direct_sum_decomposition,
+    direct_sum_list,
     evaluate_decomposition,
     levi_civita,
     levi_civita_decomposition,
@@ -34,6 +48,7 @@ from slicerank import (
     verify_certificate,
 )
 from slicerank.serialize import dump_json
+from slicerank.splitting import _split_axis
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -189,6 +204,29 @@ def test_split_w_vectors_respect_blocks():
         assert w.shape[0] == cert.subspaces[axis].dim
 
 
+def _same_axis_split(a, b):
+    return (a.w_vectors == b.w_vectors and a.threshold == b.threshold
+            and a.block1_dual == b.block1_dual and a.block2_dual == b.block2_dual)
+
+
+def test_split_axis_matches_reference_for_both_orders():
+    patterns = 0
+    for _, cert, blocks in two_block_corpus():
+        for sub, sizes in zip(cert.subspaces, blocks.sizes):
+            for option in ("first", "second"):
+                assert _same_axis_split(_split_axis(sub, sizes[0], option),
+                                        reference_split_axis(sub, sizes[0], option))
+        d = blocks.order
+        for combo in product(("first", "second"), repeat=d):
+            if "first" in combo and "second" in combo:
+                patterns += 1
+                trace = split_certificate(cert, blocks, OptionChoice(combo))
+                for i, ax in enumerate(trace.axes):
+                    ref = reference_split_axis(cert.subspaces[i], blocks.sizes[i][0], combo[i])
+                    assert _same_axis_split(ax, ref)
+    assert patterns > 300
+
+
 # --- distinguished-axis mode ---
 
 def test_distinguished_axis_accepts_direct_sums():
@@ -227,6 +265,59 @@ def test_distinguished_axis_random_instances():
         assert res.sigma >= slice_rank_exact(lead).sigma + slice_rank_exact(trail).sigma
 
 
+def test_distinguished_axis_support_matches_reference_loop():
+    outcomes = {True: 0, False: 0}
+    for t, cert, blocks in two_block_corpus():
+        for special in range(t.order):
+            try:
+                reference_distinguished_axis_support(t, blocks, special)
+                expected = None
+            except PreconditionError as exc:
+                expected = str(exc)
+            try:
+                trace = split_certificate_distinguished_axis(t, cert, blocks, special_axis=special)
+                got = None
+            except PreconditionError as exc:
+                got = str(exc)
+            assert got == expected
+            outcomes[got is None] += 1
+            if got is None:
+                assert trace.choices.choices[special] == "second"
+                assert sum(c == "second" for c in trace.choices.choices) == 1
+    assert outcomes[True] > 50 and outcomes[False] > 50
+
+
+def test_distinguished_axis_split_reads_no_block_components(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("block_component called")
+
+    monkeypatch.setattr(splitting, "block_component", refuse)
+    for d in (40, 64):
+        t = Tensor(GF2, (1,) * d, np.ones((1,) * d, dtype=np.int64))
+        cert = DualCertificate(tuple(Subspace.zero(GF2, 1) for _ in range(d)))
+        trace = split_certificate_distinguished_axis(t, cert, BlockStructure(((1, 0),) * d))
+        assert [ax.threshold for ax in trace.axes] == [0] * d
+        # the single entry sits in block 2 on every axis but the distinguished
+        # first one: the forbidden component (1, 2, ..., 2) in 1-based terms
+        blocks = BlockStructure(((1, 0),) + ((0, 1),) * (d - 1))
+        with pytest.raises(PreconditionError, match=rf"block component \(0{', 1' * (d - 1)}\) is"):
+            split_certificate_distinguished_axis(t, cert, blocks, special_axis=0)
+
+
+def test_distinguished_axis_support_memory_does_not_grow_with_the_order():
+    d = 16  # every entry nonzero; one block index per entry and axis would take 2d = 32 times the tensor
+    t = Tensor(GF2, (2,) * d, np.ones((2,) * d, dtype=np.int64))
+    cert = DualCertificate(tuple(Subspace.zero(GF2, 2) for _ in range(d)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match=rf"block component \({'0, ' * (d - 1)}1\) is"):
+            split_certificate_distinguished_axis(t, cert, BlockStructure(((1, 1),) * d), special_axis=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * t.data.nbytes
+
+
 # --- combining certificates and decompositions ---
 
 def test_direct_sum_certificate_bound_and_verification():
@@ -245,6 +336,64 @@ def test_direct_sum_decomposition_evaluates_to_sum():
     total, _ = direct_sum(eps, eps)
     assert len(combined.terms) == 6
     assert evaluate_decomposition(combined) == total
+
+
+def _direct_sum_parts(rng, field, d, count):
+    shapes = [tuple(int(x) for x in rng.integers(0, 3, size=d)) for _ in range(count)]
+    decs = [random_decomposition(rng, field, shape) for shape in shapes]
+    certs = [DualCertificate(tuple(random_subspace(rng, field, n) for n in shape)) for shape in shapes]
+    return decs, certs
+
+
+def _same_decomposition(a, b):
+    return (a.field == b.field and a.shape == b.shape and len(a.terms) == len(b.terms)
+            and all(x.axis == y.axis and np.array_equal(x.u, y.u) and np.array_equal(x.v, y.v)
+                    for x, y in zip(a.terms, b.terms)))
+
+
+def test_two_part_direct_sums_match_reference():
+    rng = np.random.default_rng(1819)
+    for p in (2, 3, 5):
+        field = PrimeField(p)
+        for d in (2, 3, 4):
+            for _ in range(6):
+                (d1, d2), (c1, c2) = _direct_sum_parts(rng, field, d, 2)
+                assert _same_decomposition(direct_sum_decomposition(d1, d2),
+                                           reference_direct_sum_decomposition(d1, d2))
+                assert direct_sum_certificate(c1, c2) == reference_direct_sum_certificate(c1, c2)
+
+
+def test_n_part_direct_sums_equal_chained_two_part_sums():
+    rng = np.random.default_rng(1820)
+    for p in (2, 3, 5):
+        field = PrimeField(p)
+        for d in (2, 3, 4):
+            for m in range(1, 7):
+                decs, certs = _direct_sum_parts(rng, field, d, m)
+                dec, cert = decs[0], certs[0]
+                for other_dec, other_cert in zip(decs[1:], certs[1:]):
+                    dec = direct_sum_decomposition(dec, other_dec)
+                    cert = direct_sum_certificate(cert, other_cert)
+                summed = direct_sum_decomposition(*decs)
+                assert _same_decomposition(summed, dec)
+                assert direct_sum_certificate(*certs) == cert
+                assert direct_sum_certificate(*certs).bound == sum(c.bound for c in certs)
+                parts = [evaluate_decomposition(x) for x in decs]
+                assert evaluate_decomposition(summed) == direct_sum_list(parts)[0]
+
+
+def test_direct_sums_refuse_mixed_fields():
+    gf5 = PrimeField(5)
+    single2 = slice_rank_exact(levi_civita(GF2)).certificate
+    single3 = slice_rank_exact(levi_civita(GF3)).certificate
+    with pytest.raises(PreconditionError, match="share the field"):
+        direct_sum_certificate(single2, single3)
+    with pytest.raises(PreconditionError, match="share the field"):
+        direct_sum_certificate(single3, single3, DualCertificate.full(gf5, (1, 1, 1)))
+    with pytest.raises(PreconditionError, match="share field"):
+        direct_sum_decomposition(levi_civita_decomposition(GF2), levi_civita_decomposition(GF3))
+    with pytest.raises(PreconditionError, match="share the field"):
+        direct_sum_list([levi_civita(GF2), levi_civita(GF3)])
 
 
 # --- additivity harness ---
@@ -337,6 +486,19 @@ def test_triangular_report_matches_reference_walk(field, sizes):
         t = random_block_upper_triangular(field, blocks, rng)
         report = json.loads(dump_json(check_triangular(t, blocks)))
         assert report == json.loads(dump_json(reference_check_triangular(t, blocks)))
+
+
+def test_triangular_fold_chain_builds_no_block_structures(monkeypatch):
+    blocks = BlockStructure(((1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)))
+    t = random_block_upper_triangular(GF3, blocks, np.random.default_rng(1821))
+    expected = json.loads(dump_json(reference_check_triangular(t, blocks)))
+
+    def refuse(*args):
+        raise AssertionError("BlockStructure built")
+
+    monkeypatch.setattr(splitting, "BlockStructure", refuse)
+    assert json.loads(dump_json(check_triangular(t, blocks))) == expected
+    assert [step["levels"] for step in expected["fold_chain"]] == [4, 3, 2]
 
 
 # --- obstruction demo ---

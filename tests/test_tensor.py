@@ -291,7 +291,13 @@ def _block_structures(rng, count):
 
 def test_block_helpers_match_loop_references():
     rng = np.random.default_rng(4242)
-    structures = _block_structures(rng, 40)
+    # layouts where most blocks are empty, some on every axis
+    structures = _block_structures(rng, 40) + [
+        BlockStructure(((1, 0, 0, 0, 2), (0, 0, 1, 0, 1), (0, 1, 0, 0, 1))),
+        BlockStructure(((0, 0, 2, 0), (1, 0, 0, 1))),
+        BlockStructure(((0, 0, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1))),
+        BlockStructure(((0, 0, 0), (1, 2, 0))),
+    ]
     assert any(0 in axis for b in structures for axis in b.sizes)
     assert {b.order for b in structures} == {2, 3, 4}
     seeds, verdicts = 0, set()
@@ -318,10 +324,36 @@ def test_block_helpers_match_loop_references():
     assert seeds >= 100 and verdicts == {True, False}
 
 
+def test_random_block_upper_triangular_visits_only_nonempty_components(monkeypatch):
+    calls = []
+    block_slices = BlockStructure.block_slices
+
+    def counted(self, alpha):
+        calls.append(tuple(alpha))
+        return block_slices(self, alpha)
+
+    monkeypatch.setattr(BlockStructure, "block_slices", counted)
+    k = 60
+    unit = [tuple(int(j == i) for j in range(k)) for i in range(k)]
+    # one size-1 block per axis, the rest empty: one component, then none
+    for positions, visited in (((3, 20, 41), [(3, 20, 41)]), ((41, 20, 3), [])):
+        blocks = BlockStructure(tuple(unit[i] for i in positions))
+        calls.clear()
+        t = random_block_upper_triangular(GF3, blocks, np.random.default_rng(7))
+        assert calls == visited and t.shape == (1, 1, 1)
+        assert visited or t.is_zero()
+    # two nonempty blocks on every axis: the four nondecreasing ones of 2^3
+    blocks = BlockStructure(((1,) + (0,) * (k - 2) + (1,),) * 3)
+    calls.clear()
+    random_block_upper_triangular(GF2, blocks, np.random.default_rng(7))
+    assert calls == [(0, 0, 0), (0, 0, k - 1), (0, k - 1, k - 1), (k - 1, k - 1, k - 1)]
+
+
 def test_block_structure_derived_values_are_not_fields():
     blocks = BlockStructure(((1, 0, 2), (0, 3, 1)))
     assert blocks.shape == (3, 4)
     assert blocks.offsets == ((0, 1, 1, 3), (0, 0, 3, 4))
+    assert [list(axis) for axis in blocks.block_of] == [[0, 2, 2], [1, 1, 1, 2]]
     assert blocks.block_slices((2, 1)) == (slice(1, 3), slice(0, 3))
     assert [f.name for f in dataclasses.fields(BlockStructure)] == ["sizes"]
     fresh = BlockStructure(((1, 0, 2), (0, 3, 1)))
