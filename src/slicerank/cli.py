@@ -169,14 +169,15 @@ def cmd_split(args) -> int:
         if args.options:
             choices = OptionChoice(tuple(args.options.split(",")))
         trace = split_certificate(cert, blocks, choices)
-    cert1, cert2 = trace.component_certificates()
+    layout = _split_trace_layout(trace)
+    cert1, cert2 = layout["certificates"]
     d = t.order
     lead = block_component(t, blocks, (0,) * d)
     trail = block_component(t, blocks, (1,) * d)
     if not verify_certificate(lead, cert1) or not verify_certificate(trail, cert2):
         print("derived certificates do not verify against the blocks", file=sys.stderr)
         return EXIT_VERIFY
-    _emit(_split_trace_layout(trace), args.output)
+    _emit(layout, args.output)
     return EXIT_OK
 
 

@@ -219,7 +219,12 @@ class AxisProjection(NamedTuple):
     elsewhere, ``free`` the columns outside P in increasing order, and row
     i of ``units`` is u_f = e_f - sum_j R[j, f] e_P[j] for f = free[i],
     so that I - proj is zero at P and holds u_f at each free column f.
-    All three are read-only.
+    R u_f = R[:, f] - R[:, f] = 0, and u_f is the one unit row nonzero at
+    f, so ``units`` is a basis of the kernel {x : R x = 0}: the kernels,
+    completions and membership tests of this module
+    (``kernel_basis``, ``few_zero_kernel_vector``, ``complete_basis``,
+    ``Subspace.contains``) and ``decomposition_from_certificate`` read
+    them from here. All three are read-only.
     """
 
     proj: np.ndarray
@@ -294,9 +299,9 @@ class Subspace:
         return cls(field, n, FieldMatrix.zeros(field, 0, n))
 
     def contains(self, vector) -> bool:
-        v = self.field.residues(vector)
-        stacked = np.vstack([self.basis.data, v.reshape(1, -1)])
-        return len(_row_reduce(stacked, self.field.p)[1]) == self.dim
+        """Whether the vector is in the row space, that is, orthogonal to every kernel unit row."""
+        v = self.field.residues(vector).reshape(-1)
+        return not (self.projection.units @ v % self.field.p).any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -312,34 +317,23 @@ class Subspace:
 
 
 def kernel_basis(m: FieldMatrix) -> Subspace:
-    """The right kernel {x : m @ x = 0} as a canonical subspace."""
-    p = m.field.p
-    red, piv = _row_reduce(m.data, p)
-    n = m.cols
-    is_free = np.ones(n, dtype=bool)
-    is_free[piv] = False
-    free = is_free.nonzero()[0]
-    vectors = np.zeros((len(free), n), dtype=np.int64)
-    vectors[:, free] = np.eye(len(free), dtype=np.int64)
-    vectors[:, piv] = (-red[: len(piv), free].T) % p
-    return Subspace.from_rows(m.field, vectors, ambient_dim=n)
+    """The right kernel {x : m @ x = 0}, spanned by the unit rows of m's reduced basis."""
+    return Subspace.from_rows(m.field, Subspace.from_rows(m.field, m.data).projection.units)
+
+
+# All functionals u with u . v = 0 for every row v of a matrix; codim = rank.
+annihilator = kernel_basis
 
 
 def complete_basis(s: Subspace) -> FieldMatrix:
     """Extend a subspace basis to an invertible n x n matrix.
 
     The first dim(s) rows are the canonical basis of s; the remaining rows
-    are the standard basis vectors at the non-pivot positions, in index
-    order, so the completion is deterministic.
+    are the standard basis vectors at its free columns, in index order, so
+    the completion is deterministic.
     """
-    n = s.ambient_dim
-    rows = s.basis.data
-    pivots = {int(np.flatnonzero(row)[0]) for row in rows}
-    extra = [j for j in range(n) if j not in pivots]
-    completion = np.zeros((len(extra), n), dtype=np.int64)
-    for i, j in enumerate(extra):
-        completion[i, j] = 1
-    return FieldMatrix(s.field, np.vstack([rows, completion]))
+    unit_rows = np.eye(s.ambient_dim, dtype=np.int64)[s.projection.free]
+    return FieldMatrix(s.field, np.vstack([s.basis.data, unit_rows]))
 
 
 class FewZeroVector(NamedTuple):
@@ -350,39 +344,26 @@ class FewZeroVector(NamedTuple):
 def few_zero_kernel_vector(constraints: FieldMatrix) -> FewZeroVector:
     """A kernel vector of the constraint matrix with few zero coordinates.
 
-    Forward-reduces the constraints, sets every free coordinate to 1, and
-    solves for the pivot coordinates. The result h satisfies
-    ``constraints @ h = 0`` and has at most rank(constraints) zeros, since
-    only pivot coordinates can vanish. When the constraints have full
-    column rank the only kernel vector is zero; that case is flagged as
+    The sum of the unit rows of the constraints' reduced basis: it is 1 at
+    every free coordinate, so it satisfies ``constraints @ h = 0`` and has
+    at most rank(constraints) zeros, since only pivot coordinates can
+    vanish. When the constraints have full column rank there are no unit
+    rows and the only kernel vector is zero; that case is flagged as
     degenerate.
     """
     p = constraints.field.p
-    red, piv = _row_reduce(constraints.data, p)
-    n = constraints.cols
-    h = np.ones(n, dtype=np.int64)
-    for c in piv:
-        h[c] = 0
-    for i, c in enumerate(piv):
-        h[c] = (-int(red[i] @ h)) % p
-    return FewZeroVector(_freeze(h), len(piv) == n)
-
-
-def annihilator(vectors: FieldMatrix) -> Subspace:
-    """All functionals u with u . v = 0 for every row v; codim = rank."""
-    return kernel_basis(vectors)
+    units = Subspace.from_rows(constraints.field, constraints.data).projection.units
+    return FewZeroVector(_freeze(units.sum(axis=0) % p), not len(units))
 
 
 def invert_matrix(m: FieldMatrix) -> FieldMatrix:
-    """Inverse of a square matrix; raises if singular."""
+    """Inverse of a square matrix, the solution of m @ x = I; raises if singular."""
     if m.rows != m.cols:
         raise PreconditionError("only square matrices can be inverted")
-    n = m.rows
-    aug = np.hstack([m.data, np.eye(n, dtype=np.int64)])
-    red, piv = _row_reduce(aug, m.field.p, pivot_limit=n)
-    if len(piv) != n:
+    inverse = solve_right(m, np.eye(m.rows, dtype=np.int64))
+    if inverse is None:
         raise PreconditionError("matrix is singular")
-    return FieldMatrix(m.field, red[:, n:])
+    return FieldMatrix(m.field, inverse)
 
 
 def solve_right(a: FieldMatrix, rhs) -> Optional[np.ndarray]:

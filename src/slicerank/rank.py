@@ -271,19 +271,18 @@ def _prefix_dims(shape: Sequence[int], over):
     return rec(0, 0, ())
 
 
-def _contracted_blocks(batch: np.ndarray, stacks: list, shape: Sequence[int], p: int, chain=()):
-    """Contract a batch by each candidate stack in turn, yielding (block, chain).
+def _contracted_blocks(batch: np.ndarray, stacks: list, shape: Sequence[int], p: int):
+    """Contract a batch by each candidate stack in turn, yielding blocks.
 
     ``batch`` holds (rows, n, rest) matrices whose rows run over the next
     raw axis, and ``shape`` the raw axis lengths after each contracted
     axis. Every row is multiplied against a whole stack at once; a block
     takes whole candidate stacks for as many rows as fit in
-    ``_BLOCK_CELLS`` cells, or one row and part of a stack, so blocks come
-    in enumeration order. A yielded block holds (tuples, n_next, rest)
-    matrices whose columns run over the remaining raw axes, then the
-    contracted ones; its chain holds the (first row, first candidate,
-    candidate count) of the block on each axis, from which a row's
-    indices are read back.
+    ``_BLOCK_CELLS`` cells, or one row and part of a stack. A yielded
+    block holds (tuples, n_next, rest) matrices whose columns run over the
+    remaining raw axes, then the contracted ones, and the blocks are
+    consecutive runs of the (row, candidate, ...) tuples in enumeration
+    order, so a tuple is named by its position among them.
     """
     stack, n_next = stacks[0], shape[0]
     count = len(stack)
@@ -293,14 +292,12 @@ def _contracted_blocks(batch: np.ndarray, stacks: list, shape: Sequence[int], p:
     for r0 in range(0, len(batch), row_step):
         rows = batch[r0 : r0 + row_step, None].transpose(0, 1, 3, 2)
         for k0 in range(0, count, cand_step):
-            cands = stack[k0 : k0 + cand_step]
-            out = (rows @ cands) % p
+            out = (rows @ stack[k0 : k0 + cand_step]) % p
             out = out.reshape(out.shape[0] * out.shape[1], n_next, -1)
-            link = chain + ((r0, k0, len(cands)),)
             if len(stacks) == 1:
-                yield out, link
+                yield out
             else:
-                yield from _contracted_blocks(out, stacks[1:], shape[1:], p, link)
+                yield from _contracted_blocks(out, stacks[1:], shape[1:], p)
 
 
 @lru_cache(maxsize=None)
@@ -380,7 +377,7 @@ def _point_ranks(data: np.ndarray, p: int, cap: int) -> np.ndarray:
     stacks = [_grassmannian_stack(p, n, 1) for n in lead]
     head = data.reshape(1, shape[0], -1)
     blocks = _contracted_blocks(head, stacks, shape[1:-1], p)
-    ranks = np.concatenate([_batch_ranks(out, p, cap) for out, _ in blocks])
+    ranks = np.concatenate([_batch_ranks(out, p, cap) for out in blocks])
     return ranks.reshape((1,) + tuple(len(s) for s in stacks))
 
 
@@ -426,7 +423,8 @@ def _canonical_certificate(
     exceeds ``limit``. The walk visits prefix codimension tuples (every
     axis but the last) in lexicographic order and, within one, prefix
     subspace tuples in enumeration order, in the blocks of
-    ``_contracted_blocks``. At the last prefix axis a tuple's total is its
+    ``_contracted_blocks``, and reads a tuple's indices off its position in
+    that order. At the last prefix axis a tuple's total is its
     codimension sum plus rank(A); a total found becomes the limit less
     one, so the tuple kept is the first of the least total, and its last
     subspace is ker A.
@@ -500,24 +498,21 @@ def _canonical_certificate(
                 if not len(kept):
                     continue
                 stacks[0] = stacks[0][kept]
-            for out, chain in _contracted_blocks(head, stacks, shape[1:], p):
+            start = 0  # enumeration position of the block's first tuple
+            for out in _contracted_blocks(head, stacks, shape[1:], p):
                 cap = limit - s  # the largest rank of A that lowers the best total
                 block_ranks = _batch_ranks(out, p, cap + 1)
                 j = int(block_ranks.argmin())
                 r = int(block_ranks[j])
                 if r <= cap:
-                    a = out[j]
-                    idx = []
-                    for r0, k0, kc in reversed(chain):
-                        idx.append(k0 + j % kc)
-                        j = r0 + j // kc
-                    idx.reverse()
+                    idx = [int(i) for i in np.unravel_index(start + j, [len(c) for c in stacks])]
                     if kept is not None:
                         idx[0] = int(kept[idx[0]])
-                    best = (dims + (shape[-1] - r,), idx, a)
+                    best = (dims + (shape[-1] - r,), idx, out[j])
                     limit = s + r - 1
                 if limit < max(s, least):
                     break
+                start += len(out)
         if best is None:
             return None
     dims, idx, a = best
@@ -618,10 +613,7 @@ def certificate_from_decomposition(dec: SliceDecomposition) -> DualCertificate:
     subs = []
     for axis, n in enumerate(dec.shape):
         terms = dec.terms_on_axis(axis)
-        if terms:
-            stack = np.vstack([term.u for term in terms])
-        else:
-            stack = np.zeros((0, n), dtype=np.int64)
+        stack = np.array([term.u for term in terms], dtype=np.int64).reshape(len(terms), n)
         subs.append(annihilator(FieldMatrix(dec.field, stack)))
     return DualCertificate(tuple(subs))
 

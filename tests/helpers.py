@@ -40,13 +40,18 @@ checks the staircase with one ``mode_product`` per later cotensor, as
 ``triangular_normalize`` did before its one pass at the pivots. The row
 reduction reference scans each column twice with ``np.flatnonzero``, and
 the kernel reference writes its vectors entry by entry, as both did before
-they were vectorized. The parse references are the per-entry loops the
-wire-format readers ran before they checked in bulk; they share only the
-field and shape helpers with ``serialize``. The split references are the
-two pivot-order branches ``_split_axis`` ran before one rule served both,
-and the loop over all 2^d block indices that checked the distinguished-axis
-support condition component by component; the direct sum references are
-the offset loop of ``direct_sum_list`` and the two-part
+they were vectorized. The completion, few-zero vector, inverse and
+membership references run their own elimination bookkeeping, as
+``complete_basis``, ``few_zero_kernel_vector``, ``invert_matrix`` and
+``Subspace.contains`` did before they read the free columns and unit rows
+off ``Subspace.projection``; the witness and dual family references
+complete and invert through them. The parse references are the per-entry
+loops the wire-format readers ran before they checked in bulk; they share
+only the field and shape helpers with ``serialize``. The split references
+are the two pivot-order branches ``_split_axis`` ran before one rule
+served both, and the loop over all 2^d block indices that checked the
+distinguished-axis support condition component by component; the direct
+sum references are the offset loop of ``direct_sum_list`` and the two-part
 ``direct_sum_decomposition`` and ``direct_sum_certificate``, as shipped
 before the sums were laid out by ``BlockStructure``.
 """
@@ -68,8 +73,6 @@ from slicerank import (
     Tensor,
     block_component,
     certificate_from_decomposition,
-    complete_basis,
-    invert_matrix,
     matrix_rank,
     slice_rank_exact,
     verify_certificate,
@@ -374,9 +377,9 @@ def reference_decomposition_from_certificate(t: Tensor, c: DualCertificate) -> S
     primal = []     # matching primal bases: columns of the inverse
     dims = []       # certificate subspace dimensions
     for sub in c.subspaces:
-        b = complete_basis(sub)
+        b = reference_complete_basis(sub)
         bases.append(b.data)
-        primal.append(invert_matrix(b).data)
+        primal.append(reference_invert_matrix(b).data)
         dims.append(sub.dim)
 
     lam = t.data
@@ -680,15 +683,16 @@ def reference_rank_via_cover(t: Tensor) -> RankResult:
 def reference_dual_family(vectors: FieldMatrix) -> FieldMatrix:
     """Biorthogonal duals read off the inverse of the rows completed by unit vectors.
 
-    The completion is ``complete_basis`` of the rows' span, the given rows
-    kept as the leading rows; the inverse comes from ``invert_matrix``.
+    The completion is ``reference_complete_basis`` of the rows' span, the
+    given rows kept as the leading rows; the inverse comes from
+    ``reference_invert_matrix``.
     """
     p = vectors.field.p
     if matrix_rank(vectors) != vectors.rows:
         raise PreconditionError("vectors are linearly dependent")
-    full = complete_basis(Subspace.from_rows(vectors.field, vectors.data))
+    full = reference_complete_basis(Subspace.from_rows(vectors.field, vectors.data))
     stacked = np.vstack([vectors.data, full.data[vectors.rows :]])
-    inv = invert_matrix(FieldMatrix(vectors.field, stacked))
+    inv = reference_invert_matrix(FieldMatrix(vectors.field, stacked))
     return FieldMatrix(vectors.field, inv.data[:, : vectors.rows].T)
 
 
@@ -803,6 +807,50 @@ def reference_kernel_basis(m: FieldMatrix) -> Subspace:
         for i, c in enumerate(piv):
             vectors[k, c] = (-red[i, f]) % p
     return Subspace.from_rows(m.field, vectors, ambient_dim=n)
+
+
+def reference_complete_basis(s: Subspace) -> FieldMatrix:
+    """The basis with unit rows appended at its non-pivot positions, as shipped before."""
+    n = s.ambient_dim
+    rows = s.basis.data
+    pivots = {int(np.flatnonzero(row)[0]) for row in rows}
+    extra = [j for j in range(n) if j not in pivots]
+    completion = np.zeros((len(extra), n), dtype=np.int64)
+    for i, j in enumerate(extra):
+        completion[i, j] = 1
+    return FieldMatrix(s.field, np.vstack([rows, completion]))
+
+
+def reference_few_zero_kernel_vector(constraints: FieldMatrix):
+    """(vector, degenerate): 1 at every free coordinate, each pivot coordinate solved in turn."""
+    p = constraints.field.p
+    red, piv = _row_reduce(constraints.data, p)
+    n = constraints.cols
+    h = np.ones(n, dtype=np.int64)
+    for c in piv:
+        h[c] = 0
+    for i, c in enumerate(piv):
+        h[c] = (-int(red[i] @ h)) % p
+    return h, len(piv) == n
+
+
+def reference_invert_matrix(m: FieldMatrix) -> FieldMatrix:
+    """The inverse read off the reduction of [m | I], as shipped before."""
+    if m.rows != m.cols:
+        raise PreconditionError("only square matrices can be inverted")
+    n = m.rows
+    aug = np.hstack([m.data, np.eye(n, dtype=np.int64)])
+    red, piv = _row_reduce(aug, m.field.p, pivot_limit=n)
+    if len(piv) != n:
+        raise PreconditionError("matrix is singular")
+    return FieldMatrix(m.field, red[:, n:])
+
+
+def reference_contains(s: Subspace, vector) -> bool:
+    """Membership by reducing the basis with the vector appended, as shipped before."""
+    v = s.field.residues(vector)
+    stacked = np.vstack([s.basis.data, v.reshape(1, -1)])
+    return len(_row_reduce(stacked, s.field.p)[1]) == s.dim
 
 
 def reference_check_reduced(rows):

@@ -14,7 +14,11 @@ from helpers import (
     random_subspace,
     reference_axis_projection,
     reference_check_reduced,
+    reference_complete_basis,
+    reference_contains,
+    reference_few_zero_kernel_vector,
     reference_grassmannian_stack,
+    reference_invert_matrix,
     reference_kernel_basis,
     reference_row_reduce,
     span_tuples,
@@ -169,6 +173,82 @@ def test_kernel_basis_matches_reference(p):
     for data in _random_matrices(p):
         m = FieldMatrix(PrimeField(p), data)
         assert kernel_basis(m) == reference_kernel_basis(m), data.tolist()
+
+
+def _derivation_corpus():
+    """Seeded matrices over five primes with 0-6 rows and 0-6 columns.
+
+    Each shape comes dense, with zero rows, with a duplicated row, of low
+    rank, and, when square, invertible (a unit lower times a unit upper
+    triangular factor), so the square ones are both singular and not.
+    """
+    rng = np.random.default_rng(89)
+    corpus = []
+    for p in (2, 3, 5, 7, 65521):
+        field = PrimeField(p)
+        for rows, cols in itertools.product(range(7), repeat=2):
+            dense = rng.integers(0, p, size=(rows, cols))
+            variants = [dense, dense * (rng.random((rows, 1)) < 0.5)]
+            if rows > 1:
+                dup = dense.copy()
+                dup[-1] = dup[0]
+                variants.append(dup)
+            if rows and cols:
+                thin = rng.integers(0, p, size=(rows, 1)) @ rng.integers(0, p, size=(1, cols))
+                variants.append(thin % p)
+            if rows == cols:
+                lower = np.tril(rng.integers(0, p, size=(rows, rows)), -1) + np.eye(rows, dtype=np.int64)
+                upper = np.triu(rng.integers(0, p, size=(rows, rows)), 1) + np.eye(rows, dtype=np.int64)
+                variants.append((lower @ upper) % p)
+            corpus += [FieldMatrix(field, data) for data in variants]
+    return corpus
+
+
+def test_few_zero_kernel_vector_matches_reference():
+    for m in _derivation_corpus():
+        h, degenerate = few_zero_kernel_vector(m)
+        ref_h, ref_degenerate = reference_few_zero_kernel_vector(m)
+        assert h.dtype == ref_h.dtype and np.array_equal(h, ref_h), (m.field.p, m.data.tolist())
+        assert degenerate is ref_degenerate, (m.field.p, m.data.tolist())
+        assert not h.flags.writeable
+
+
+def test_complete_basis_matches_reference():
+    for m in _derivation_corpus():
+        sub = Subspace.from_rows(m.field, m.data)
+        assert complete_basis(sub) == reference_complete_basis(sub), (m.field.p, m.data.tolist())
+
+
+def test_invert_matrix_matches_reference():
+    # square and not, singular and not: equal inverses, or equal errors
+    inverted = 0
+    for m in _derivation_corpus():
+        outcomes = []
+        for invert in (invert_matrix, reference_invert_matrix):
+            try:
+                outcomes.append(invert(m))
+            except PreconditionError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1], (m.field.p, m.data.tolist())
+        inverted += isinstance(outcomes[0], FieldMatrix)
+    assert inverted >= 35  # the invertible factor products at least
+
+
+def test_contains_matches_reference():
+    # the basis rows and their combinations lie inside; random vectors
+    # mostly do not, unless the row space is everything
+    rng = np.random.default_rng(97)
+    seen = set()
+    for m in _derivation_corpus():
+        sub = Subspace.from_rows(m.field, m.data)
+        p, n = m.field.p, m.cols
+        vectors = list(m.data[:1]) + [rng.integers(0, p, size=len(m.data)) @ m.data % p]
+        vectors += list(rng.integers(0, p, size=(2, n))) + list(np.eye(n, dtype=np.int64)[-1:])
+        for v in vectors + [vectors[-1].reshape(1, -1)]:  # a row as a 1 x n array too
+            got = sub.contains(v)
+            assert got is reference_contains(sub, v), (p, m.data.tolist(), v.tolist())
+            seen.add(got)
+    assert seen == {True, False}
 
 
 def test_kernel_of_zero_matrix_is_everything():

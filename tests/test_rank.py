@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -581,7 +583,9 @@ def test_exhaustive_agreement_with_term_counting_oracle():
 def _reference_walk_arrays():
     """(p, array) pairs: seeded dense and sparse arrays of orders 2-5, one with
     a zero-size axis, dense arrays on which the slice rank bound settles
-    sigma, direct sums, and an upper-triangular array.
+    sigma, direct sums, an upper-triangular array, and sums of one slice
+    term on each axis but the last (or each but the first and last), whose
+    certificates lie past the first prefix tuples of their compositions.
     """
     rng = np.random.default_rng(41)
     cases = [
@@ -603,16 +607,44 @@ def _reference_walk_arrays():
         arrays.append((p, data))
     i, j, k = np.indices((3, 3, 3))
     arrays.append((3, rng.integers(1, 3, size=(3, 3, 3)) * ((i <= j) & (j <= k))))
+    for p, shape in [(2, (2, 3, 2)), (3, (2, 2, 3)), (2, (3, 3, 3)), (3, (3, 3, 3)),
+                     (5, (2, 3, 2)), (2, (2, 2, 2, 3)), (3, (2, 2, 2, 3))]:
+        for first in (0, 1, 1):
+            data = np.zeros(shape, dtype=np.int64)
+            for axis in range(first, len(shape) - 1):
+                u = rng.integers(0, p, size=shape[axis])
+                u[rng.integers(shape[axis])] = rng.integers(1, p)
+                rest = rng.integers(0, p, size=shape[:axis] + shape[axis + 1 :])
+                data += np.moveaxis(np.multiply.outer(u, rest), 0, axis)
+            arrays.append((p, data % p))
     return arrays
+
+
+@lru_cache(maxsize=None)
+def _reference_walk_cases():
+    """(p, array, bound, the reference's first hit) for every bound on each reference walk array."""
+    return tuple((p, data, bound, reference_first_certificate(data, p, bound))
+                 for p, data in _reference_walk_arrays()
+                 for bound in range(-1, min(data.shape) + 1))
 
 
 def test_search_composition_matches_reference_walk():
     # the walk keeps the reference's first hit in (rank, composition,
     # subspace) order, for every bound
-    for p, data in _reference_walk_arrays():
-        for bound in range(-1, min(data.shape) + 1):
-            expected = reference_first_certificate(data, p, bound)
-            assert _canonical_certificate(data, p, bound) == expected, (p, data.shape, bound)
+    for p, data, bound, expected in _reference_walk_cases():
+        assert _canonical_certificate(data, p, bound) == expected, (p, data.shape, bound)
+
+
+def test_walk_keeps_the_reference_hit_at_every_block_size(monkeypatch):
+    # blocks of 1, 7, 64 and 1024 cells split the rows and the candidate
+    # stacks at every level; the blocks stay consecutive runs of the
+    # enumeration, so the position the walk counts across them names the
+    # tuple the reference finds first
+    for cells in (1, 7, 64, 1024):
+        monkeypatch.setattr(rank, "_BLOCK_CELLS", cells)
+        for p, data, bound, expected in _reference_walk_cases():
+            got = _canonical_certificate(data, p, bound)
+            assert got == expected, (cells, p, data.shape, bound)
 
 
 def _seed_2024_arrays():
@@ -659,15 +691,21 @@ def _count_walk_blocks(monkeypatch, order):
 
     The walk contracts axes 0..d-2 and the slice rank bound axes 0..d-3,
     so the two are told apart by the number of candidate stacks of the
-    outermost call; recursive calls pass a chain and are not counted.
+    outermost call; recursive calls run at a depth above 0 and are not
+    counted.
     """
-    blocks = [0]
+    blocks, depth = [0], [0]
     original = rank._contracted_blocks
 
-    def counted(batch, stacks, shape, p, chain=()):
-        for out, link in original(batch, stacks, shape, p, chain):
-            blocks[0] += not chain and len(stacks) == order - 1
-            yield out, link
+    def counted(batch, stacks, shape, p):
+        outermost = not depth[0] and len(stacks) == order - 1
+        depth[0] += 1
+        try:
+            for out in original(batch, stacks, shape, p):
+                blocks[0] += outermost
+                yield out
+        finally:
+            depth[0] -= 1
 
     monkeypatch.setattr(rank, "_contracted_blocks", counted)
     return blocks
