@@ -299,8 +299,16 @@ class Subspace:
         return cls(field, n, FieldMatrix.zeros(field, 0, n))
 
     def contains(self, vector) -> bool:
-        """Whether the vector is in the row space, that is, orthogonal to every kernel unit row."""
+        """Whether the vector is in the row space, that is, orthogonal to every kernel unit row.
+
+        A vector of any other length than the ambient dimension raises
+        PreconditionError.
+        """
         v = self.field.residues(vector).reshape(-1)
+        if len(v) != self.ambient_dim:
+            raise PreconditionError(
+                f"vector of length {len(v)} in an ambient space of dimension {self.ambient_dim}"
+            )
         return not (self.projection.units @ v % self.field.p).any()
 
     def __eq__(self, other) -> bool:

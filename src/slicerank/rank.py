@@ -40,12 +40,22 @@ tabled once per field, ambient dimension and subspace dimension. The
 bound runs whenever the least flattening rank does not settle sigma.
 When the last-axis flattening rank, the total of the walk's first prefix
 tuple, meets the bound, that tuple is the certificate and the walk is
-skipped; otherwise the walk ends at its first total that meets it. On an
-order-3 tensor the same point ranks, computed once per search, also
-filter the walk: a U_1 of codimension c_1 whose largest point rank m has
-c_1 + m above the best total so far cannot lead to a kept total, so it
-is dropped before any contraction. The survivors are met in enumeration
-order, so the kept tuple does not change.
+skipped. So it is when the least flattening rank is 1, on any axis: sigma
+is then 1, and a composition of total 1 puts codimension 1 on one axis a,
+which is attained exactly when the axis-a flattening has rank 1, and only
+by the annihilator of its column space. The walk meets these compositions
+last axis first, so the certificate is that annihilator on the last axis
+of flattening rank 1, with full spaces on the others. Otherwise the walk
+ends at its first total that meets it. On an order-3 tensor the same
+point ranks, computed once per search, also filter the walk: a U_1 of
+codimension c_1 whose largest point rank m has c_1 + m above the best
+total so far cannot lead to a kept total, so it is dropped before any
+contraction. The survivors are met in enumeration order, so the kept
+tuple does not change. The certificate's kernel, ker A after a walk or
+the hit axis's annihilator, is found by scanning the candidates of its
+dimension for the one that annihilates that matrix; a kernel of
+dimension 0 or of the whole axis is the one candidate of its dimension,
+index 0, and is not scanned.
 
 The certificate becomes a decomposition with exactly sigma terms by
 telescoping one projection per axis. A reduced echelon basis completed by
@@ -439,7 +449,17 @@ def _canonical_certificate(
     at its first total equal to ``least``. First-hit stop: the all-full
     prefix tuple comes first in the walk's order and its total is the
     last-axis flattening rank, so when that equals ``least`` the tuple is
-    the answer and the walk is skipped.
+    the answer and the walk is skipped. When the least flattening rank is
+    1, sigma is 1 and the walk is skipped too: every composition of total
+    1 is codimension 1 on one axis a, and the prefix codimension tuples
+    (0, ..., 0), (0, ..., 0, 1), ..., (1, 0, ..., 0) meet these last axis
+    first. Codimension 1 on axis a is attained exactly when the axis-a
+    flattening has rank 1, and only by the annihilator of its column
+    space, so the answer is that annihilator on the last such axis with
+    full spaces elsewhere; the stop above is the case a = d - 1. Either
+    way the hit axis's flattening is A, and its kernel is scanned as ker A
+    is after a walk, unless its dimension is 0 or the whole axis: then
+    the stack holds one candidate, index 0.
 
     The point ranks of ``_point_ranks`` are computed at most once, when
     the bound runs or an order-3 walk does, capped at the limit plus one.
@@ -475,11 +495,16 @@ def _canonical_certificate(
         least = max(least, _slice_rank_bound(data, p, limit + 1, least, points))
     if least > limit:
         return None
-    if ranks[d - 1] == least:
-        a = mats[d - 1, : shape[-1], : data.size // shape[-1]]
-        best = (shape[:-1] + (shape[-1] - least,), [0] * (d - 1), a)
+    # First hit (see the docstring): the last axis whose flattening rank is
+    # least, when it is the last axis of all or least is 1
+    on = np.flatnonzero(ranks == least)
+    if len(on) and (on[-1] == d - 1 or least == 1):
+        axis, n = int(on[-1]), shape[on[-1]]
+        dims = list(shape)
+        dims[axis] = n - least
+        best = (dims, [0] * (d - 1), axis, mats[axis, :n, : data.size // n])
     else:
-        best = None  # (dims, prefix indices, A)
+        best = None  # (dims, indices off the kernel axis, kernel axis, A)
         head = data.reshape(1, shape[0], -1)
         if d == 3 and points is None:
             points = _point_ranks(data, p, limit + 1)
@@ -508,18 +533,22 @@ def _canonical_certificate(
                     idx = [int(i) for i in np.unravel_index(start + j, [len(c) for c in stacks])]
                     if kept is not None:
                         idx[0] = int(kept[idx[0]])
-                    best = (dims + (shape[-1] - r,), idx, out[j])
+                    best = (list(dims) + [shape[-1] - r], idx, d - 1, out[j])
                     limit = s + r - 1
                 if limit < max(s, least):
                     break
                 start += len(out)
         if best is None:
             return None
-    dims, idx, a = best
-    # ker A is the one candidate of its dimension that annihilates A
-    stack = _grassmannian_stack(p, shape[-1], dims[-1])
-    idx.append(int(np.argmax(~((a.T @ stack) % p).any(axis=(1, 2)))))
-    return list(dims), idx
+    dims, idx, axis, a = best
+    # the kernel is the one candidate of its dimension that annihilates A,
+    # and the only candidate at dimension 0 or the whole axis
+    k = 0
+    if 0 < dims[axis] < shape[axis]:
+        stack = _grassmannian_stack(p, shape[axis], dims[axis])
+        k = int(np.argmax(~((a.T @ stack) % p).any(axis=(1, 2))))
+    idx.insert(axis, k)
+    return dims, idx
 
 
 def _matrix_rank_result(t: Tensor, budget: Optional[int]) -> RankResult:

@@ -271,20 +271,28 @@ def check_triangular(
 
     Also walks the fold chain: merge blocks 1..k-1 against block k, verify
     the two-block inequality at every level, and recurse into the merged
-    leading component; level kk slices its three tensors from t at the block
-    offsets. The report is plain JSON values, except the certificates (one
-    per diagonal block, then the whole tensor's), which are
-    ``DualCertificate`` values that ``dump_json`` writes in the certificate
-    wire format.
+    leading component. Every tensor is sliced from t at the block offsets,
+    and each distinct one is built once: level kk's last block is a
+    diagonal block, its current tensor is t at level k and otherwise the
+    leading tensor of level kk + 1. Every slot is still searched on its
+    own, so k blocks make 4k - 2 searches. The report is plain JSON
+    values, except the certificates (one per diagonal block, then the whole
+    tensor's), which are ``DualCertificate`` values that ``dump_json``
+    writes in the certificate wire format.
     """
     if not is_block_upper_triangular(t, blocks):
         raise PreconditionError("tensor is not block upper triangular for these blocks")
-    d = t.order
-    k = blocks.num_blocks
-    diag_results = [
-        slice_rank_exact(block_component(t, blocks, (j,) * d), limit=limit)
-        for j in range(k)
-    ]
+    d, k = t.order, blocks.num_blocks
+
+    def blocks_between(lo: int, hi: int) -> Tensor:  # blocks lo..hi-1 on every axis
+        sub = t.data[tuple(slice(off[lo], off[hi]) for off in blocks.offsets)]
+        return Tensor(t.field, sub.shape, sub)
+
+    # each distinct tensor once: diag[j] is block j, and merged[kk - 1] is
+    # blocks 0..kk-1, level kk's current tensor and level kk + 1's leading one
+    diag = [block_component(t, blocks, (j,) * d) for j in range(k)]
+    merged = [diag[0]] + [blocks_between(0, kk) for kk in range(2, k)] + [t]
+    diag_results = [slice_rank_exact(b, limit=limit) for b in diag]
     total = slice_rank_exact(t, limit=limit)
     sigma_sum = sum(r.sigma for r in diag_results)
     if total.sigma > sigma_sum:
@@ -294,15 +302,11 @@ def check_triangular(
     else:
         status = "violation"
 
-    def blocks_between(lo: int, hi: int) -> Tensor:  # blocks lo..hi-1 on every axis
-        sub = t.data[tuple(slice(off[lo], off[hi]) for off in blocks.offsets)]
-        return Tensor(t.field, sub.shape, sub)
-
     fold_chain = []
     for kk in range(k, 1, -1):
-        sig_cur = slice_rank_exact(blocks_between(0, kk), limit=limit).sigma
-        sig_lead = slice_rank_exact(blocks_between(0, kk - 1), limit=limit).sigma
-        sig_trail = slice_rank_exact(blocks_between(kk - 1, kk), limit=limit).sigma
+        sig_cur = slice_rank_exact(merged[kk - 1], limit=limit).sigma
+        sig_lead = slice_rank_exact(merged[kk - 2], limit=limit).sigma
+        sig_trail = slice_rank_exact(diag[kk - 1], limit=limit).sigma
         step_ok = sig_cur >= sig_lead + sig_trail
         fold_chain.append(
             {

@@ -398,13 +398,20 @@ def random_block_upper_triangular(
     """Random tensor with support confined to nondecreasing block components.
 
     The components are filled in lexicographic order of their block index,
-    one draw each. An empty component's draw has size 0 and leaves the
-    generator as it was, so only components nonempty on every axis are visited.
+    from consecutive chunks of one draw of all their entries. numpy's
+    bounded integers come off the generator's stream one after another,
+    so that draw, and the generator state it leaves, equal those of one
+    draw per component. An empty component has no entries, so only
+    components nonempty on every axis are visited. The draw is the only
+    array beside the output.
     """
     data = np.zeros(blocks.shape, dtype=np.int64)
     nonempty = [[a for a, n in enumerate(axis) if n] for axis in blocks.sizes]
-    for alpha in product(*nonempty):
-        if all(a <= b for a, b in zip(alpha, alpha[1:])):
-            sl = blocks.block_slices(alpha)
-            data[sl] = rng.integers(0, field.p, size=data[sl].shape)
+    parts = [data[blocks.block_slices(alpha)] for alpha in product(*nonempty)
+             if all(a <= b for a, b in zip(alpha, alpha[1:]))]
+    draw = rng.integers(0, field.p, size=sum(part.size for part in parts))
+    start = 0
+    for part in parts:  # views into data
+        part[...] = draw[start : start + part.size].reshape(part.shape)
+        start += part.size
     return Tensor(field, blocks.shape, data)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -732,3 +733,123 @@ def test_walk_stdout_digest_is_pinned(tmp_path, capsys):
         assert code in (0, 6) and not err, (name, code, err)
         digest.update(out.encode())
     assert digest.hexdigest() == WALK_CORPUS_SHA256
+
+
+# --- bounded exit-status fuzz ---
+
+_CONTRACT = {0, 2, 3, 4, 5, 6}
+
+# what a mutation writes over one character or one JSON leaf: small numbers
+# only, so that a mutated shape stays cheap to search or is refused by the
+# limit at once
+_TOKENS = ["0", "1", "3", "-1", "10", "1.5", "[", "]", "{", "}", ",", ":", '"', '"x"',
+           "null", "true", ""]
+_LEAVES = [-1, 0, 1, 2, 3, 10, 1.5, True, None, "x", [], {}]
+
+
+def _leaf_paths(obj, path=()):
+    """Key paths of every leaf of a JSON value, in document order."""
+    items = list(obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ())
+    if not items:
+        yield path
+    for key, value in items:
+        yield from _leaf_paths(value, path + (key,))
+
+
+def _mutate(text, rng):
+    """One seeded mutation: one or two characters, or one or two JSON leaves, overwritten."""
+    if rng.integers(2):
+        chars = list(text)
+        for _ in range(int(rng.integers(1, 3))):
+            chars[int(rng.integers(len(chars)))] = _TOKENS[int(rng.integers(len(_TOKENS)))]
+        return "".join(chars)
+    obj = json.loads(text)
+    for _ in range(int(rng.integers(1, 3))):
+        paths = list(_leaf_paths(obj))  # the files' roots are nonempty containers
+        *head, last = paths[int(rng.integers(len(paths)))]
+        target = obj
+        for key in head:
+            target = target[key]
+        target[last] = _LEAVES[int(rng.integers(len(_LEAVES)))]
+    return json.dumps(obj)
+
+
+def _exit_status(capsys, argv):
+    """Exit status of one in-process run, with no traceback on stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refuses a flag
+        code = exc.code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err, (argv, err)
+    return code
+
+
+def test_mutated_files_keep_the_exit_status_contract(tmp_path, capsys):
+    # seeded character or JSON-leaf mutations of small canonical tensor,
+    # certificate and decomposition files, through rank, verify and split
+    one = tmp_path / "one.json"
+    dump_json(tensor_to_obj(Tensor(PrimeField(2), (1, 1, 1), [[[1]]])), str(one))
+    files = {"tensor": str(tmp_path / "tensor.json"), "sum": str(tmp_path / "sum.json")}
+    data = np.zeros((2, 2, 2), dtype=np.int64)
+    data[0, 0, :] = data[1, 1, :] = data[0, 1, 1] = 1
+    dump_json(tensor_to_obj(Tensor(PrimeField(2), (2, 2, 2), data)), files["tensor"])
+    assert run(capsys, "direct-sum", "--left", str(one), "--right", str(one),
+               "-o", files["sum"])[0] == 0
+    for name, source in (("cert", "tensor"), ("sumcert", "sum")):
+        result = json.loads(run(capsys, "rank", "-i", files[source])[1])
+        files[name] = str(tmp_path / f"{name}.json")
+        dump_json(result["certificate"], files[name])
+        if name == "cert":
+            files["dec"] = str(tmp_path / "dec.json")
+            dump_json(result["decomposition"], files["dec"])
+    commands = [
+        ("rank", "-i", "{tensor}"),
+        ("verify", "-i", "{tensor}", "--certificate", "{cert}"),
+        ("verify", "-i", "{tensor}", "--decomposition", "{dec}"),
+        ("split", "-i", "{sum}", "--certificate", "{sumcert}", "--blocks", "1,1;1,1;1,1"),
+    ]
+    texts = {name: Path(path).read_text() for name, path in files.items()}
+    rng = np.random.default_rng(20)
+    codes = set()
+    for argv in commands:
+        for name in [arg[1:-1] for arg in argv if arg.startswith("{")]:
+            for _ in range(30):
+                text = _mutate(texts[name], rng)
+                mutated = tmp_path / "mutated.json"
+                mutated.write_text(text)
+                paths = dict(files, **{name: str(mutated)})
+                code = _exit_status(capsys, [arg.format(**paths) for arg in argv])
+                assert code in _CONTRACT, (argv, name, text)
+                codes.add(code)
+    assert {0, 2, 4, 5} <= codes, codes
+
+
+_TRI = ("triangular", "--seed", "1", "--blocks")
+_ADD = ("additivity", "--seed", "1", "--shape")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # zero-size blocks, one or all, and no trials
+    ((*_TRI, "0,0;0,0;0,0", "--prime", "2", "--trials", "2"), 0),
+    ((*_TRI, "1,0;0,1;1,1", "--prime", "3", "--trials", "2"), 0),
+    ((*_TRI, "1,1;1,1;1,1", "--prime", "2", "--trials", "0"), 0),
+    ((*_ADD, "0,2,2", "--prime", "2", "--trials", "2"), 0),
+    ((*_ADD, "1,1", "--prime", "2", "--trials", "0"), 0),
+    # a modulus that is not a prime in range
+    ((*_TRI, "1,1;1,1;1,1", "--prime", "4", "--trials", "1"), 5),
+    ((*_TRI, "1,1;1,1;1,1", "--prime", "1", "--trials", "1"), 5),
+    ((*_TRI, "1,1;1,1", "--prime", "x", "--trials", "1"), 2),
+    ((*_ADD, "1,1,1", "--prime", "6", "--trials", "1"), 5),
+    ((*_ADD, "1,1,1", "--prime", "-3", "--trials", "1"), 5),
+    # malformed blocks and shapes
+    ((*_TRI, "1,1;1", "--prime", "2", "--trials", "1"), 5),
+    ((*_TRI, "1,x;1,1", "--prime", "2", "--trials", "1"), 2),
+    ((*_TRI, "1,-1;1,1", "--prime", "2", "--trials", "1"), 5),
+    ((*_TRI, "", "--prime", "2", "--trials", "1"), 2),
+    ((*_TRI, "2", "--prime", "2", "--trials", "1"), 5),
+    ((*_ADD, "2", "--prime", "2", "--trials", "1"), 5),
+    ((*_ADD, "1,,1", "--prime", "2", "--trials", "1"), 2),
+])
+def test_harness_flag_edges_keep_the_exit_status_contract(capsys, argv, expected):
+    assert _exit_status(capsys, argv) == expected

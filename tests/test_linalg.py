@@ -251,6 +251,20 @@ def test_contains_matches_reference():
     assert seen == {True, False}
 
 
+def test_contains_refuses_a_vector_of_the_wrong_length():
+    # too short, too long, and any nonempty vector in a 0-dimensional space
+    sub = Subspace.from_rows(GF3, [[1, 0, 0]])
+    for v in ([1, 0], [1, 0, 0, 0], [[1, 0], [0, 0]]):
+        with pytest.raises(PreconditionError, match="ambient space of dimension 3"):
+            sub.contains(v)
+    assert sub.contains([2, 0, 0]) and sub.contains([[1, 0, 0]])
+    zero = Subspace.zero(GF3, 0)
+    assert zero.contains([])
+    for v in ([0], [1, 2]):
+        with pytest.raises(PreconditionError, match="ambient space of dimension 0"):
+            zero.contains(v)
+
+
 def test_kernel_of_zero_matrix_is_everything():
     k = kernel_basis(FieldMatrix.zeros(GF5, 2, 3))
     assert k.dim == 3

@@ -647,6 +647,67 @@ def test_walk_keeps_the_reference_hit_at_every_block_size(monkeypatch):
             assert got == expected, (cells, p, data.shape, bound)
 
 
+def _first_hit_arrays():
+    """(p, array) pairs on which the generalized first hit decides.
+
+    Sigma-1 arrays whose rank-1 flattenings lie on one axis, on each pair
+    of axes, or on every axis (a product of vectors), so that the last of
+    them must win, over orders 2-4 and GF(2), GF(3), GF(5); arrays with a
+    zero-size axis; and full-rank diagonal arrays, whose certificate has a
+    kernel of dimension 0.
+    """
+    rng = np.random.default_rng(53)
+    arrays = []
+    for p in (2, 3, 5):
+        for shape in [(2, 3), (3, 2), (2, 2, 3), (3, 2, 2), (2, 3, 3), (2, 2, 2, 2), (3, 2, 2, 3)]:
+            d = len(shape)
+            pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+            for axes in [(a,) for a in range(d)] + pairs + [tuple(range(d))]:
+                # a nonzero vector on each chosen axis, times a nonzero cotensor on the rest
+                vecs = [rng.integers(0, p, size=shape[a]) for a in axes]
+                for v in vecs:
+                    v[rng.integers(len(v))] = rng.integers(1, p)
+                rest = rng.integers(0, p, size=[n for a, n in enumerate(shape) if a not in axes])
+                rest.flat[rng.integers(rest.size)] = rng.integers(1, p)
+                data = rest
+                for a, v in zip(axes, vecs):
+                    data = np.moveaxis(np.multiply.outer(v, data), 0, a)
+                arrays.append((p, data % p))
+        arrays.append((p, np.zeros((2, 0, 3), dtype=np.int64)))
+        for n, d in [(2, 2), (2, 3), (3, 3), (2, 4)]:
+            data = np.zeros((n,) * d, dtype=np.int64)
+            for i in range(n):
+                data[(i,) * d] = rng.integers(1, p)
+            arrays.append((p, data))
+    return arrays
+
+
+def test_first_hit_matches_the_reference_on_any_axis(monkeypatch):
+    # at sigma 1 the certificate is the annihilator on the last axis of
+    # flattening rank 1, and a full-rank certificate's kernel is the one
+    # candidate of dimension 0
+    hits, axes = [], set()
+    for p, data in _first_hit_arrays():
+        for bound in (0, 1, min(data.shape)):
+            got = _canonical_certificate(data, p, bound)
+            assert got == reference_first_certificate(data, p, bound), (p, data.tolist(), bound)
+            codims = [n - dim for n, dim in zip(data.shape, got[0])] if got else []
+            if sum(codims) == 1:
+                hits.append((p, data, bound, got))
+                axes.add((data.ndim, codims.index(1)))
+    # a matrix has one rank, so at order 2 the last axis always wins
+    assert axes == {(2, 1)} | {(d, a) for d in (3, 4) for a in range(d)}
+
+    # and the hit is found without a walk or point ranks
+    def refuse(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(rank, "_contracted_blocks", refuse)
+    monkeypatch.setattr(rank, "_point_ranks", refuse)
+    for p, data, bound, got in hits:
+        assert _canonical_certificate(data, p, bound) == got
+
+
 def _seed_2024_arrays():
     """Ten random 5x5x5 GF(2) arrays; no slice of the first on its last two axes has full rank."""
     rng = np.random.default_rng(2024)

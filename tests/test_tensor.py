@@ -289,6 +289,17 @@ def _block_structures(rng, count):
     return out
 
 
+class _CountingGenerator:
+    """A seeded generator that counts its ``integers`` calls."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
 def test_block_helpers_match_loop_references():
     rng = np.random.default_rng(4242)
     # layouts where most blocks are empty, some on every axis
@@ -302,13 +313,14 @@ def test_block_helpers_match_loop_references():
     assert {b.order for b in structures} == {2, 3, 4}
     seeds, verdicts = 0, set()
     for blocks in structures:
-        for field in (GF2, GF3):
+        for field in (GF2, GF3, PrimeField(65521)):
             for _ in range(2):
                 seeds += 1  # a fresh seed per draw
-                a, b = np.random.default_rng(seeds), np.random.default_rng(seeds)
+                a, b = _CountingGenerator(seeds), np.random.default_rng(seeds)
                 t = random_block_upper_triangular(field, blocks, a)
+                assert a.calls == 1  # one draw for every component
                 assert t == reference_random_block_upper_triangular(field, blocks, b)
-                assert a.integers(0, 2**62) == b.integers(0, 2**62)  # same draws taken
+                assert a.rng.integers(0, 2**62) == b.integers(0, 2**62)  # same draws taken
                 assert is_block_upper_triangular(t, blocks)
                 assert reference_is_block_upper_triangular(t, blocks)
                 # one entry set anywhere, or a dense tensor, decides the same way
