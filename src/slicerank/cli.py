@@ -101,6 +101,8 @@ def _parse_blocks(text: str) -> BlockStructure:
         )
     except ValueError:
         raise FormatError(f"cannot parse block sizes {text!r}") from None
+    if any(n < 0 for axis in sizes for n in axis):  # refused as check_shape refuses a shape
+        raise FormatError(f"block sizes must be nonnegative, got {text!r}")
     blocks = BlockStructure(sizes)
     check_shape(blocks.shape)
     return blocks

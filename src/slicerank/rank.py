@@ -60,13 +60,18 @@ index 0, and is not scanned.
 The certificate becomes a decomposition with exactly sigma terms by
 telescoping one projection per axis. A reduced echelon basis completed by
 unit rows at its free columns has an inverse read off the basis itself,
-so no elimination runs. Each axis splits off one term per free column
-and projects the array onto the basis rows, placed at their pivots;
-after the last axis what remains is T contracted by every certificate
-basis, embedded injectively. The certificate annihilates T exactly when
-that remainder is zero, so checking it is the verification, at no cost
-beyond the d projections. The projection matrix, the free columns and the
-term vectors of each basis are kept on its subspace
+so no elimination runs. Each axis projects the array onto the basis rows,
+placed at their pivots, and splits off one term per free column of the
+array before it; after the last axis what remains is T contracted by
+every certificate basis, embedded injectively. The certificate annihilates
+T exactly when that remainder is zero, so checking it is the
+verification, at no cost beyond the d projections. The check runs at
+search time: ``slice_rank_exact`` runs the projection chain before it
+returns, keeping each axis's array before its projection, and raises
+VerificationError there. The terms are read off those arrays only when
+the result's decomposition is first read, since the harnesses that search
+most read only sigma and the certificate. The projection matrix, the free
+columns and the term vectors of each basis are kept on its subspace
 (``Subspace.projection``), and the certificate's subspaces come from the
 memoized ``grassmannian`` tuples, so repeated searches over one shape
 share them.
@@ -85,8 +90,9 @@ decompositions, and byte-identical serialized output.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import prod
 from typing import NamedTuple, Optional, Sequence
 
@@ -135,6 +141,8 @@ class DualCertificate:
     """
 
     subspaces: tuple[Subspace, ...]
+    bound: int = dataclasses.field(init=False, repr=False)
+    ambient_shape: tuple[int, ...] = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.subspaces) < 2:
@@ -144,18 +152,12 @@ class DualCertificate:
             if s.field != field:
                 raise PreconditionError("certificate subspaces must share the field")
         object.__setattr__(self, "subspaces", tuple(self.subspaces))
+        object.__setattr__(self, "bound", sum(s.codim for s in self.subspaces))
+        object.__setattr__(self, "ambient_shape", tuple(s.ambient_dim for s in self.subspaces))
 
     @property
     def field(self):
         return self.subspaces[0].field
-
-    @cached_property
-    def bound(self) -> int:
-        return sum(s.codim for s in self.subspaces)
-
-    @cached_property
-    def ambient_shape(self) -> tuple[int, ...]:
-        return tuple(s.ambient_dim for s in self.subspaces)
 
     @classmethod
     def full(cls, field, shape: Sequence[int]) -> "DualCertificate":
@@ -176,14 +178,37 @@ class RankResult:
     is "ok". A budgeted search that runs out returns status
     "rank_above_budget" with no value fabricated. The cover method returns
     an upper bound, exact only when the support is an antichain.
+
+    ``decomposition`` is given whole, or, for a search, read off its
+    verified projection chain (``_read_off``) on first access and kept, so
+    later reads return the same object. The read-off is deterministic and
+    idempotent: threads racing on the first read may each build it, and
+    get equal decompositions.
     """
 
     sigma: Optional[int]
     certificate: Optional[DualCertificate]
-    decomposition: Optional[SliceDecomposition]
+    _decomposition: Optional[SliceDecomposition]
     method: str
     status: str = "ok"
     exact: bool = True
+    _chain: Optional[tuple] = dataclasses.field(default=None, init=False, repr=False)
+
+    @classmethod
+    def _searched(cls, t: Tensor, certificate: DualCertificate, kept: list) -> "RankResult":
+        """A search's result, its decomposition left to be read off the chain that verified it."""
+        result = cls(certificate.bound, certificate, None, "dual_search")
+        object.__setattr__(result, "_chain", (t, kept))
+        return result
+
+    @property
+    def decomposition(self) -> Optional[SliceDecomposition]:
+        chain = self._chain
+        if chain is not None:
+            # set before the chain is dropped, so a reader that finds no chain finds it
+            object.__setattr__(self, "_decomposition", _read_off(*chain))
+            object.__setattr__(self, "_chain", None)
+        return self._decomposition
 
 
 def _check_match(t: Tensor, c: DualCertificate) -> None:
@@ -597,7 +622,12 @@ def slice_rank_exact(
     contracted last-axis matrix, and keeps the first tuple reaching it.
     The returned certificate is the first verifying one in (rank,
     composition, subspace-enumeration) lexicographic order, and the
-    decomposition is derived from it, so outputs are reproducible.
+    decomposition is derived from it, so outputs are reproducible. The
+    certificate is verified before this returns: the projection chain of
+    ``decomposition_from_certificate`` runs here and raises
+    VerificationError if it leaves anything. The decomposition's terms are
+    read off the arrays the chain kept when ``RankResult.decomposition`` is
+    first read, and never if it is not.
     """
     if method not in ("auto", "dual", "matrix"):
         raise PreconditionError(f"unknown method {method!r}")
@@ -630,7 +660,7 @@ def slice_rank_exact(
     cert = DualCertificate(
         tuple(grassmannian(p, n, dim)[i] for n, dim, i in zip(t.shape, dims, idx))
     )
-    return RankResult(cert.bound, cert, decomposition_from_certificate(t, cert), "dual_search")
+    return RankResult._searched(t, cert, _projection_chain(t, cert))
 
 
 def certificate_from_decomposition(dec: SliceDecomposition) -> DualCertificate:
@@ -667,21 +697,44 @@ def decomposition_from_certificate(t: Tensor, c: DualCertificate) -> SliceDecomp
     certificate verifies, exactly when arr is zero; otherwise this raises
     VerificationError. Terms with zero cotensors are kept so the term
     count always equals the certificate bound.
+
+    It is the composition of the two halves that ``slice_rank_exact``
+    runs apart: the projection chain, which verifies, and the read-off of
+    the terms from the arrays the chain kept.
+    """
+    return _read_off(t, _projection_chain(t, c))
+
+
+def _projection_chain(t: Tensor, c: DualCertificate) -> list:
+    """Verify c against t by the telescoped projections, keeping what the terms need.
+
+    Returns (axis, array before the axis's projection, free columns, term
+    vectors) for each axis of nonzero codimension; raises
+    VerificationError when the certificate does not annihilate t.
     """
     _check_match(t, c)
     p = t.field.p
     arr = t.data
-    terms = []
+    kept = []
     for axis, sub in enumerate(c.subspaces):
         if not sub.codim:
             continue
         proj, free, units = sub.projection
-        for f, u in zip(free, units):
-            terms.append(SliceTerm(axis, u, np.take(arr, f, axis)))
+        kept.append((axis, arr, free, units))
         arr = mode_product(arr, proj, axis, p)
     if arr.any():
         raise VerificationError("certificate does not verify against the tensor")
-    return SliceDecomposition(t.field, t.shape, tuple(terms))
+    return kept
+
+
+def _read_off(t: Tensor, kept: list) -> SliceDecomposition:
+    """The decomposition of a verified chain: one term per free column, axis by axis."""
+    terms = tuple(
+        SliceTerm(axis, u, np.take(arr, f, axis))
+        for axis, arr, free, units in kept
+        for f, u in zip(free, units)
+    )
+    return SliceDecomposition(t.field, t.shape, terms)
 
 
 class CoverResult(NamedTuple):

@@ -787,14 +787,14 @@ def _exit_status(capsys, argv):
 
 def test_mutated_files_keep_the_exit_status_contract(tmp_path, capsys):
     # seeded character or JSON-leaf mutations of small canonical tensor,
-    # certificate and decomposition files, through rank, verify and split
-    one = tmp_path / "one.json"
-    dump_json(tensor_to_obj(Tensor(PrimeField(2), (1, 1, 1), [[[1]]])), str(one))
-    files = {"tensor": str(tmp_path / "tensor.json"), "sum": str(tmp_path / "sum.json")}
+    # certificate and decomposition files, through every command that reads
+    # a file: rank, verify, split, direct-sum and normalize-d3
+    files = {name: str(tmp_path / f"{name}.json") for name in ("one", "tensor", "sum")}
+    dump_json(tensor_to_obj(Tensor(PrimeField(2), (1, 1, 1), [[[1]]])), files["one"])
     data = np.zeros((2, 2, 2), dtype=np.int64)
     data[0, 0, :] = data[1, 1, :] = data[0, 1, 1] = 1
     dump_json(tensor_to_obj(Tensor(PrimeField(2), (2, 2, 2), data)), files["tensor"])
-    assert run(capsys, "direct-sum", "--left", str(one), "--right", str(one),
+    assert run(capsys, "direct-sum", "--left", files["one"], "--right", files["one"],
                "-o", files["sum"])[0] == 0
     for name, source in (("cert", "tensor"), ("sumcert", "sum")):
         result = json.loads(run(capsys, "rank", "-i", files[source])[1])
@@ -808,6 +808,8 @@ def test_mutated_files_keep_the_exit_status_contract(tmp_path, capsys):
         ("verify", "-i", "{tensor}", "--certificate", "{cert}"),
         ("verify", "-i", "{tensor}", "--decomposition", "{dec}"),
         ("split", "-i", "{sum}", "--certificate", "{sumcert}", "--blocks", "1,1;1,1;1,1"),
+        ("direct-sum", "--left", "{one}", "--right", "{tensor}"),
+        ("normalize-d3", "-i", "{dec}"),
     ]
     texts = {name: Path(path).read_text() for name, path in files.items()}
     rng = np.random.default_rng(20)
@@ -845,11 +847,28 @@ _ADD = ("additivity", "--seed", "1", "--shape")
     # malformed blocks and shapes
     ((*_TRI, "1,1;1", "--prime", "2", "--trials", "1"), 5),
     ((*_TRI, "1,x;1,1", "--prime", "2", "--trials", "1"), 2),
-    ((*_TRI, "1,-1;1,1", "--prime", "2", "--trials", "1"), 5),
+    ((*_TRI, "1,-1;1,1", "--prime", "2", "--trials", "1"), 2),
     ((*_TRI, "", "--prime", "2", "--trials", "1"), 2),
     ((*_TRI, "2", "--prime", "2", "--trials", "1"), 5),
     ((*_ADD, "2", "--prime", "2", "--trials", "1"), 5),
     ((*_ADD, "1,,1", "--prime", "2", "--trials", "1"), 2),
+    ((*_ADD, "2,-1", "--prime", "2", "--trials", "1"), 2),
 ])
 def test_harness_flag_edges_keep_the_exit_status_contract(capsys, argv, expected):
+    assert _exit_status(capsys, argv) == expected
+
+
+@pytest.mark.parametrize("blocks, expected", [
+    ("1,1;1,1;1,1", 0), ("1,-1;1,1;1,1", 2), ("-1,3;1,1;1,1", 2), ("1,1;1;1,1", 5),
+])
+def test_split_block_flag_edges_keep_the_exit_status_contract(tmp_path, capsys, blocks, expected):
+    # a negative block size is a malformed flag, as in triangular; uneven
+    # block counts stay a precondition
+    one = tmp_path / "one.json"
+    dump_json(tensor_to_obj(Tensor(PrimeField(2), (1, 1, 1), [[[1]]])), str(one))
+    sum_path = str(tmp_path / "sum.json")
+    run(capsys, "direct-sum", "--left", str(one), "--right", str(one), "-o", sum_path)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(json.loads(run(capsys, "rank", "-i", sum_path)[1])["certificate"]))
+    argv = ["split", "-i", sum_path, "--certificate", str(cert_path), "--blocks", blocks]
     assert _exit_status(capsys, argv) == expected

@@ -34,6 +34,8 @@ from slicerank import (
     Tensor,
     VerificationError,
     certificate_from_decomposition,
+    check_additivity,
+    check_triangular,
     decomposition_from_certificate,
     diagonal_tensor,
     direct_sum,
@@ -50,7 +52,7 @@ from slicerank import (
     slice_rank_exact,
     verify_certificate,
 )
-from slicerank import linalg, rank
+from slicerank import linalg, rank, splitting
 from slicerank.rank import (
     _batch_ranks,
     _canonical_certificate,
@@ -354,17 +356,22 @@ def test_decomposition_from_certificate_refuses_like_reference():
                 expand(eps, cert)
 
 
-def _count_calls(monkeypatch, name):
-    """Count the calls rank.py makes to one of its module-level names."""
+def _count_calls_in(monkeypatch, module, name):
+    """Count the calls a module makes to one of its module-level names."""
     calls = [0]
-    original = getattr(rank, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(rank, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls rank.py makes to one of its module-level names."""
+    return _count_calls_in(monkeypatch, rank, name)
 
 
 def test_expansion_makes_one_projection_per_axis(monkeypatch):
@@ -384,6 +391,70 @@ def test_search_does_not_recheck_its_certificate(monkeypatch):
     for t in (levi_civita(GF3), random_tensor(GF3, (3, 3, 3), rng), diagonal_tensor(GF2, 3, 2)):
         assert slice_rank_exact(t).sigma is not None
     assert calls[0] == 0
+
+
+def test_search_verifies_its_certificate_before_it_returns(monkeypatch):
+    # a search that keeps the next candidate after its kernel, which does
+    # not annihilate: the search itself refuses it, before anything reads
+    # the decomposition
+    original = rank._canonical_certificate
+
+    def wrong_kernel(data, p, limit):
+        dims, idx = original(data, p, limit)
+        axis = next(a for a, (n, dim) in enumerate(zip(data.shape, dims)) if 0 < dim < n)
+        idx[axis] = (idx[axis] + 1) % len(rank._grassmannian_stack(p, data.shape[axis], dims[axis]))
+        return dims, idx
+
+    monkeypatch.setattr(rank, "_canonical_certificate", wrong_kernel)
+    middle = np.moveaxis(np.multiply.outer(np.array([1, 2, 0]), np.ones((3, 3), dtype=np.int64)), 0, 1)
+    for t in (diagonal_tensor(GF2, 3, 2), diagonal_tensor(GF3, 3, 1), Tensor(GF3, (3, 3, 3), middle)):
+        with pytest.raises(VerificationError):
+            slice_rank_exact(t)
+
+
+def test_search_decomposition_is_the_expansion_of_its_certificate():
+    # the terms read off on first access are those of the direct expansion,
+    # dtypes and read-only flags included, and later reads return them again
+    arrays = _reference_walk_arrays() + [
+        (3, np.zeros((2, 3, 2), dtype=np.int64)),
+        (2, np.multiply.outer(np.array([1, 0, 1]), np.ones((2, 2), dtype=np.int64))),
+        (5, np.arange(12).reshape(3, 4) % 5),
+    ]
+    for p, data in arrays:
+        t = Tensor(PrimeField(p), data.shape, data)
+        res = slice_rank_exact(t, method="dual")
+        got = res.decomposition
+        want = decomposition_from_certificate(t, res.certificate)
+        case = (p, data.shape, data.tolist())
+        _assert_same_terms(got, want, case)
+        for a, b in zip(got.terms, want.terms):
+            for x, y in ((a.u, b.u), (a.v, b.v)):
+                assert (x.dtype, x.flags.writeable) == (y.dtype, y.flags.writeable), case
+        assert res.decomposition is got, case
+    assert {len(d.shape) for _, d in arrays} >= {2, 3, 4, 5}
+
+
+def test_harnesses_build_no_decomposition(monkeypatch):
+    # triangular and additivity read ranks and certificates only: every
+    # search still runs, and none of them builds a decomposition
+    built = [0]
+    post_init = SliceDecomposition.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(SliceDecomposition, "__post_init__", counted)
+    searches = _count_calls_in(monkeypatch, splitting, "slice_rank_exact")
+    blocks = BlockStructure(((1, 1, 1),) * 3)
+    rng = np.random.default_rng(941)
+    check_triangular(random_block_upper_triangular(GF3, blocks, rng), blocks)
+    assert (searches[0], built[0]) == (10, 0)
+    check_additivity(random_tensor(GF3, (2, 2, 2), rng), random_tensor(GF3, (2, 2, 2), rng))
+    assert (searches[0], built[0]) == (13, 0)
+    # the counter sees a read
+    slice_rank_exact(levi_civita(GF3)).decomposition
+    assert built[0] == 1
 
 
 # --- slice covers ---
